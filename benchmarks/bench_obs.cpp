@@ -2,7 +2,7 @@
 //
 //   BM_QueryTracedCrossShard — the same LUBM workload runs through one
 //     sharded engine twice per iteration, untraced (plain
-//     ExecuteSparql) and traced (ExecuteSparqlTraced adopting a
+//     ExecuteSparql) and traced (a per-request engine copy adopting a
 //     TraceStore trace under a request span, the exact shape
 //     `sama_cli serve --binary` produces for a propagated trace id).
 //     Answers must be byte-identical between the two modes — tracing
@@ -154,17 +154,18 @@ int Run(const Options& options) {
         return 1;
       }
 
-      // The serving shape: a per-request trace adopted under a request
-      // span, exactly what BinaryQueryServer does for a propagated id.
+      // The serving shape: a per-request engine copy adopting the trace
+      // under a request span, exactly what BinaryQueryServer does for a
+      // propagated id.
       TraceContext ctx = TraceContext::Generate();
       std::shared_ptr<QueryTrace> trace = store.GetOrCreate(ctx);
-      ShardedEngine::RequestObs robs;
-      robs.adopt_trace = trace;
       t0 = Clock::now();
-      robs.adopt_parent = trace->BeginSpan("request", 0);
-      auto traced =
-          engine.ExecuteSparqlTraced(*parsed, options.k, robs, nullptr);
-      trace->EndSpan(robs.adopt_parent);
+      SamaEngine configured = engine;
+      ObsOptions& obs = configured.mutable_options().obs;
+      obs.adopt_trace = trace;
+      obs.adopt_parent = trace->BeginSpan("request", 0);
+      auto traced = configured.ExecuteSparql(*parsed, options.k, nullptr);
+      trace->EndSpan(obs.adopt_parent);
       double traced_ms = MillisSince(t0);
       if (!traced.ok()) {
         std::fprintf(stderr, "traced query %s failed: %s\n",

@@ -1,19 +1,20 @@
-// Sharded scatter-gather benchmark (DESIGN.md §14, ROADMAP item 4):
-// builds one single PathIndex and N-shard ShardedIndex builds over the
-// same LUBM graph, runs the benchmark workload through both, and
-// gates two claims before any timing is believed:
+// Sharded search benchmark (DESIGN.md §14): builds one single PathIndex
+// and N-shard ShardedIndex builds over the same LUBM graph, runs the
+// benchmark workload through both, and gates two claims before any
+// timing is believed:
 //
-//   1. Byte-identity: for every query the single engine answers
-//      without tripping the anytime budget, every shard count must
-//      return the same answers — same scores, same tie-break order.
-//      Divergence lands in summary.mismatches and fails the run.
-//   2. The cross-shard bound exchange does real work: the total
-//      sama_shard bound-exchange prune counter must be positive, or
-//      the SharedScoreBound plumbing is dead code.
+//   1. Byte-identity: for every query, truncated by the anytime budget
+//      or not, every shard count must return the single index's
+//      answers — same scores, same tie-break order, same global path
+//      ids. Divergence lands in summary.mismatches and fails the run.
+//   2. Same work: a sharded engine runs one forest search over the
+//      single index's candidate lists, so every shard run's total
+//      expansions must equal the single index's; a difference fails
+//      the run.
 //
-// Timings (per-shard-count mean latency, expansions) are reported for
-// the regression gate's machine-dependent checks. --json=FILE writes
-// the artifact gated by tools/check_bench_regression.py --mode=shard.
+// Timings (per-shard-count mean latency) are reported for the
+// regression gate's machine-dependent checks. --json=FILE writes the
+// artifact gated by tools/check_bench_regression.py --mode=shard.
 //
 // Scale: --universities=N drives the LUBM generator (each university
 // is a few hundred triples; N≈30000 crosses 10M triples for cluster-
@@ -52,9 +53,8 @@ struct Options {
   std::vector<size_t> shard_counts = {2, 4};
   size_t k = 5;
   size_t threads = 1;
-  // Ample so the workload's exact queries finish untruncated and the
-  // identity check is contractual, not vacuous (the carve-out below
-  // skips queries even this budget cannot finish).
+  // Ample so most of the workload finishes untruncated; Q10–Q12 still
+  // truncate and are byte-compared like every other query.
   uint64_t max_expansions = 2000000;
   std::string json_path;
 };
@@ -81,17 +81,15 @@ std::string Signature(const std::vector<Answer>& answers) {
 
 struct QueryRow {
   std::string name;
-  bool truncated_skipped = false;
+  bool truncated = false;  // The single index ran out of budget.
   double single_ms = 0;
-  std::vector<uint8_t> match;      // Parallel to shard_counts.
-  std::vector<double> sharded_ms;  // Parallel to shard_counts.
+  std::vector<uint8_t> match;  // Parallel to shard_counts.
 };
 
 struct ShardRun {
   size_t shards = 0;
   double mean_ms = 0;
   uint64_t expansions = 0;
-  uint64_t bound_exchange_prunes = 0;
   uint64_t degraded = 0;
 };
 
@@ -162,7 +160,7 @@ int Run(const Options& options) {
     runs[i].shards = options.shard_counts[i];
   }
   uint64_t mismatches = 0;
-  size_t compared = 0, skipped = 0;
+  uint64_t single_expansions = 0;
   double single_total_ms = 0;
 
   for (const BenchmarkQuery& q : queries) {
@@ -187,11 +185,8 @@ int Run(const Options& options) {
       return 1;
     }
     single_total_ms += row.single_ms;
-    // Anytime carve-out: when the single engine truncates, its answer
-    // set is an artifact of ITS budget spend; N shards have N budgets,
-    // so byte-identity is not contractual (DESIGN.md §14). The query
-    // still runs and is timed on every engine.
-    row.truncated_skipped = serial_stats.search_truncated;
+    single_expansions += serial_stats.search_expansions;
+    row.truncated = serial_stats.search_truncated;
     const std::string want = Signature(*serial);
 
     for (size_t e = 0; e < engines.size(); ++e) {
@@ -209,48 +204,42 @@ int Run(const Options& options) {
       }
       runs[e].mean_ms += ms;
       runs[e].expansions += stats.search_expansions;
-      runs[e].bound_exchange_prunes += stats.search_shared_bound_pruned;
       runs[e].degraded += stats.shards_degraded;
-      row.sharded_ms.push_back(ms);
-      bool match = true;
-      if (!row.truncated_skipped) {
-        match = Signature(*got) == want;
-        if (!match) {
-          ++mismatches;
-          std::fprintf(stderr,
-                       "MISMATCH: %s diverges at %zu shard(s)\n",
-                       q.name.c_str(), runs[e].shards);
-        }
+      const bool match = Signature(*got) == want;
+      if (!match) {
+        ++mismatches;
+        std::fprintf(stderr, "MISMATCH: %s diverges at %zu shard(s)\n",
+                     q.name.c_str(), runs[e].shards);
       }
       row.match.push_back(match ? 1 : 0);
     }
-    row.truncated_skipped ? ++skipped : ++compared;
     rows.push_back(std::move(row));
   }
-  uint64_t total_prunes = 0;
+  bool same_work = true;
   for (ShardRun& run : runs) {
     run.mean_ms /= static_cast<double>(queries.size());
-    total_prunes += run.bound_exchange_prunes;
+    same_work = same_work && run.expansions == single_expansions;
   }
   const double single_mean_ms =
       single_total_ms / static_cast<double>(queries.size());
 
-  std::printf("shard bench: %zu queries (%zu byte-compared, %zu truncated-"
-              "skipped), %llu mismatch(es)\n",
-              queries.size(), compared, skipped,
-              static_cast<unsigned long long>(mismatches));
-  std::printf("  single index: mean %.2f ms\n", single_mean_ms);
+  std::printf("shard bench: %zu queries byte-compared, %llu mismatch(es)\n",
+              queries.size(), static_cast<unsigned long long>(mismatches));
+  std::printf("  single index: mean %.2f ms, %llu expansion(s)\n",
+              single_mean_ms,
+              static_cast<unsigned long long>(single_expansions));
   for (const ShardRun& run : runs) {
-    std::printf("  %zu shard(s): mean %.2f ms, %llu expansion(s), "
-                "%llu bound-exchange prune(s), %llu degraded\n",
+    std::printf("  %zu shard(s): mean %.2f ms (%.2fx single), %llu "
+                "expansion(s) (single %llu), %llu degraded\n",
                 run.shards, run.mean_ms,
+                single_mean_ms > 0 ? run.mean_ms / single_mean_ms : 0.0,
                 static_cast<unsigned long long>(run.expansions),
-                static_cast<unsigned long long>(run.bound_exchange_prunes),
+                static_cast<unsigned long long>(single_expansions),
                 static_cast<unsigned long long>(run.degraded));
   }
-  if (total_prunes == 0) {
-    std::fprintf(stderr, "bound-exchange pruning never fired; the "
-                 "cross-shard bound is dead code\n");
+  if (!same_work) {
+    std::fprintf(stderr, "a shard run's expansions differ from the single "
+                 "index's; sharded search must do the same work\n");
   }
 
   if (!options.json_path.empty()) {
@@ -265,23 +254,19 @@ int Run(const Options& options) {
                  options.threads);
     std::fprintf(f,
                  "  \"summary\": {\"mismatches\": %llu, "
-                 "\"bound_exchange_prunes\": %llu, "
                  "\"queries_compared\": %zu, "
-                 "\"queries_truncated_skipped\": %zu, "
-                 "\"single_mean_ms\": %.4f},\n",
-                 static_cast<unsigned long long>(mismatches),
-                 static_cast<unsigned long long>(total_prunes), compared,
-                 skipped, FiniteOr(single_mean_ms));
+                 "\"single_mean_ms\": %.4f, "
+                 "\"single_expansions\": %llu},\n",
+                 static_cast<unsigned long long>(mismatches), queries.size(),
+                 FiniteOr(single_mean_ms),
+                 static_cast<unsigned long long>(single_expansions));
     std::fprintf(f, "  \"shard_runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
       std::fprintf(f,
                    "    {\"shards\": %zu, \"mean_ms\": %.4f, "
-                   "\"expansions\": %llu, \"bound_exchange_prunes\": %llu, "
-                   "\"degraded\": %llu}%s\n",
+                   "\"expansions\": %llu, \"degraded\": %llu}%s\n",
                    runs[i].shards, FiniteOr(runs[i].mean_ms),
                    static_cast<unsigned long long>(runs[i].expansions),
-                   static_cast<unsigned long long>(
-                       runs[i].bound_exchange_prunes),
                    static_cast<unsigned long long>(runs[i].degraded),
                    i + 1 < runs.size() ? "," : "");
     }
@@ -289,10 +274,9 @@ int Run(const Options& options) {
     for (size_t i = 0; i < rows.size(); ++i) {
       const QueryRow& row = rows[i];
       std::fprintf(f,
-                   "    {\"name\": \"%s\", \"truncated_skipped\": %s, "
+                   "    {\"name\": \"%s\", \"truncated\": %s, "
                    "\"single_ms\": %.4f, \"matches\": [",
-                   row.name.c_str(),
-                   row.truncated_skipped ? "true" : "false",
+                   row.name.c_str(), row.truncated ? "true" : "false",
                    FiniteOr(row.single_ms));
       for (size_t j = 0; j < row.match.size(); ++j) {
         std::fprintf(f, "%s%s", j ? ", " : "",
@@ -304,7 +288,7 @@ int Run(const Options& options) {
     std::fclose(f);
     std::printf("wrote %s\n", options.json_path.c_str());
   }
-  return mismatches == 0 && total_prunes > 0 ? 0 : 1;
+  return mismatches == 0 && same_work ? 0 : 1;
 }
 
 }  // namespace

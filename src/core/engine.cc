@@ -8,6 +8,37 @@
 
 namespace sama {
 
+namespace {
+
+// Merges per-slice clusters, already in global path ids and each sorted
+// by (λ, id), into the single-index candidate lists: concatenate,
+// re-sort by (λ, global id) — the slices' path sets are disjoint, so
+// this is exactly the unsharded order — and re-apply the per-cluster
+// cap (the global top-cap is a subset of the union of the per-slice
+// top-caps, so nothing it needs was dropped by a slice).
+std::vector<Cluster> MergeSliceClusters(
+    std::vector<std::vector<Cluster>> sliced, size_t cap) {
+  std::vector<Cluster> merged = std::move(sliced[0]);
+  for (size_t i = 1; i < sliced.size(); ++i) {
+    for (size_t j = 0; j < merged.size(); ++j) {
+      for (ScoredPath& sp : sliced[i][j].paths) {
+        merged[j].paths.push_back(std::move(sp));
+      }
+    }
+  }
+  for (Cluster& c : merged) {
+    std::sort(c.paths.begin(), c.paths.end(),
+              [](const ScoredPath& a, const ScoredPath& b) {
+                if (a.lambda() != b.lambda()) return a.lambda() < b.lambda();
+                return a.id < b.id;
+              });
+    if (cap != 0 && c.paths.size() > cap) c.paths.resize(cap);
+  }
+  return merged;
+}
+
+}  // namespace
+
 // The engine's named registry instruments, resolved once per engine.
 // Naming scheme (DESIGN.md "Observability"): sama_<noun>_total for
 // counters, sama_<noun>_millis for latency histograms; per-cache series
@@ -212,7 +243,11 @@ struct SamaEngine::UpdateState {
 
 Status SamaEngine::EnableUpdates(DataGraph* graph, PathIndex* index,
                                  UpdateOptions options) {
-  if (graph != graph_ || index != index_) {
+  // A sharded engine's slices are read-only shards; only a single
+  // PathIndex (one slice, ids already global) takes updates.
+  if (graph != graph_ || slices_->size() != 1 ||
+      (*slices_)[0].source.global_ids != nullptr ||
+      index != (*slices_)[0].source.index) {
     return Status::InvalidArgument(
         "EnableUpdates must receive the same graph and index the engine "
         "was constructed over");
@@ -424,12 +459,18 @@ std::vector<std::string> SamaEngine::UpdateCrashPoints() {
 
 SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
                        const Thesaurus* thesaurus, EngineOptions options)
+    : SamaEngine(graph, {IndexSlice{index}}, 0, thesaurus,
+                 std::move(options)) {}
+
+SamaEngine::SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
+                       uint64_t shards_degraded, const Thesaurus* thesaurus,
+                       EngineOptions options)
     : graph_(graph),
-      index_(index),
       thesaurus_(thesaurus),
-      options_(options) {
-  size_t threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                            : options.num_threads;
+      options_(std::move(options)),
+      shards_degraded_(shards_degraded) {
+  size_t threads = options_.num_threads == 0 ? ThreadPool::HardwareThreads()
+                                             : options_.num_threads;
   // The calling thread participates in every parallel section, so a
   // request for N threads needs N-1 pool workers. The pool is shared
   // (engine copies in ExecuteSparql reuse it) and lives for the
@@ -440,20 +481,27 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
   if (cache.enabled) {
     label_cache_ = std::make_shared<ShardedLruCache<uint64_t, LabelMatch>>(
         cache.label_match_entries, cache.shards);
-    alignment_memo_ = std::make_shared<AlignmentMemo>(
-        cache.alignment_memo_entries, cache.shards);
     label_cache_identity_ = std::make_shared<std::atomic<uint64_t>>(
         thesaurus_ == nullptr ? 0 : thesaurus_->identity());
   }
-  if (index_ != nullptr) {
-    IndexCacheConfig index_cache;
-    index_cache.enabled = cache.enabled;
-    index_cache.posting_entries = cache.posting_entries;
-    index_cache.lookup_entries = cache.path_lookup_entries;
-    index_cache.record_entries = cache.path_record_entries;
-    index_cache.shards = cache.shards;
-    index_->ConfigureQueryCache(index_cache);
+  IndexCacheConfig index_cache;
+  index_cache.enabled = cache.enabled;
+  index_cache.posting_entries = cache.posting_entries;
+  index_cache.lookup_entries = cache.path_lookup_entries;
+  index_cache.record_entries = cache.path_record_entries;
+  index_cache.shards = cache.shards;
+  auto owned = std::make_shared<std::vector<Slice>>();
+  for (const IndexSlice& source : slices) {
+    source.index->ConfigureQueryCache(index_cache);
+    Slice slice;
+    slice.source = source;
+    if (cache.enabled) {
+      slice.alignment_memo = std::make_unique<AlignmentMemo>(
+          cache.alignment_memo_entries, cache.shards);
+    }
+    owned->push_back(std::move(slice));
   }
+  slices_ = std::move(owned);
 
   const ObsOptions& obs = options_.obs;
   if (obs.metrics) {
@@ -477,8 +525,10 @@ SamaEngine::SamaEngine(const DataGraph* graph, const PathIndex* index,
 
 void SamaEngine::DropQueryCaches() const {
   if (label_cache_) label_cache_->Clear();
-  if (alignment_memo_) alignment_memo_->Clear();
-  if (index_ != nullptr) index_->DropQueryCaches();
+  for (const Slice& slice : *slices_) {
+    if (slice.alignment_memo) slice.alignment_memo->Clear();
+    slice.source.index->DropQueryCaches();
+  }
 }
 
 Result<std::vector<Answer>> SamaEngine::ExecuteSparql(
@@ -500,61 +550,6 @@ Result<std::vector<Answer>> SamaEngine::ExecuteSparql(
   return configured.Execute(qg, k, stats);
 }
 
-Result<std::vector<Cluster>> SamaEngine::ClusterQuery(const QueryGraph& query,
-                                                      QueryStats* stats) const {
-  // Same ordering guarantee as Execute: clustering sees either all of
-  // an update or none of it.
-  std::shared_lock<std::shared_mutex> update_lock;
-  if (updates_ != nullptr) {
-    update_lock = std::shared_lock<std::shared_mutex>(updates_->mu);
-  }
-  WallTimer total;
-  QueryStats local;
-  local.threads_used = threads_used();
-
-  if (label_cache_ != nullptr) {
-    uint64_t identity = thesaurus_ == nullptr ? 0 : thesaurus_->identity();
-    if (label_cache_identity_->exchange(identity) != identity) {
-      label_cache_->Clear();
-    }
-  }
-  QueryCaches caches;
-  caches.label_matches = label_cache_.get();
-  caches.alignment_memo = alignment_memo_.get();
-  QueryCacheDeltas deltas;
-  QueryObs qobs;
-  qobs.deltas = &deltas;
-
-  local.num_query_paths = query.paths().size();
-  WallTimer phase;
-  std::atomic<uint64_t> clustering_busy{0};
-  std::atomic<uint64_t> corrupt_skipped{0};
-  std::atomic<uint64_t> io_retried{0};
-  ClusteringOptions clustering_options = options_.clustering;
-  clustering_options.strict_io = options_.strict_io;
-  clustering_options.max_io_retries = options_.max_io_retries;
-  auto clusters_or =
-      BuildClusters(query, *index_, thesaurus_, options_.params,
-                    clustering_options, pool_.get(), &clustering_busy,
-                    &corrupt_skipped, &io_retried, &caches, &qobs);
-  if (!clusters_or.ok()) return clusters_or.status();
-  local.clustering_millis = phase.ElapsedMillis();
-  local.clustering_busy_millis =
-      static_cast<double>(clustering_busy.load()) / 1e6;
-  local.corrupt_records_skipped = corrupt_skipped.load();
-  local.io_retries = io_retried.load();
-  for (const Cluster& c : *clusters_or) local.num_candidate_paths += c.size();
-  local.posting_cache = deltas.postings.Snapshot();
-  local.path_lookup_cache = deltas.lookups.Snapshot();
-  local.path_record_cache = deltas.records.Snapshot();
-  local.label_match_cache = deltas.label_matches.Snapshot();
-  local.alignment_memo = deltas.alignments.Snapshot();
-  local.thesaurus_cache = deltas.thesaurus.Snapshot();
-  local.total_millis = total.ElapsedMillis();
-  if (stats != nullptr) *stats = local;
-  return clusters_or;
-}
-
 Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
                                                 size_t k,
                                                 QueryStats* stats) const {
@@ -568,6 +563,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   WallTimer total;
   QueryStats local;
   local.threads_used = threads_used();
+  local.shards_degraded = shards_degraded_;
   ThreadPool* pool = pool_.get();
   // Epoch-reclamation activity over the query window (global manager,
   // so concurrent queries contribute too — see QueryStats).
@@ -584,7 +580,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   }
   QueryCaches caches;
   caches.label_matches = label_cache_.get();
-  caches.alignment_memo = alignment_memo_.get();
 
   // Per-query attribution: every cache layer tallies THIS query's
   // traffic into these scoped sinks. (Diffing the shared lifetime
@@ -646,11 +641,24 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     total += deltas.thesaurus.Snapshot();
     return total;
   };
+  const std::vector<Slice>& slices = *slices_;
+  auto pool_stats = [&slices]() {
+    BufferPool::Stats sum;
+    for (const Slice& slice : slices) {
+      BufferPool::Stats one = slice.source.index->cache_stats();
+      sum.fetches += one.fetches;
+      sum.hits += one.hits;
+      sum.misses += one.misses;
+      sum.evictions += one.evictions;
+      sum.bytes_read += one.bytes_read;
+    }
+    return sum;
+  };
   BufferPool::Stats pages_before{};
-  if (profiling) pages_before = index_->cache_stats();
+  if (profiling) pages_before = pool_stats();
 
-  // Clustering (parallel over candidate chunks when a pool exists;
-  // results are identical either way).
+  // Clustering, slice by slice (parallel over candidate chunks when a
+  // pool exists; results are identical either way).
   phase.Restart();
   std::atomic<uint64_t> clustering_busy{0};
   std::atomic<uint64_t> corrupt_skipped{0};
@@ -661,13 +669,38 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   ObsSpan clustering_span(trace.get(), "clustering");
   // Chunk spans recorded on pool workers parent here explicitly.
   qobs.parent_span = clustering_span.id();
-  auto clusters_or =
-      BuildClusters(query, *index_, thesaurus_, options_.params,
-                    clustering_options, pool, &clustering_busy,
-                    &corrupt_skipped, &io_retried, &caches, &qobs);
+  if (slices.empty()) return Status::Internal("no live index slices");
+  std::vector<std::vector<Cluster>> sliced;
+  sliced.reserve(slices.size());
+  for (const Slice& slice : slices) {
+    ObsSpan shard_span;
+    if (slices.size() > 1) {
+      const std::string shard = std::to_string(slice.source.shard);
+      shard_span = ObsSpan(trace.get(), "shard-" + shard + ".cluster");
+      shard_span.SetAttr("shard", shard);
+      qobs.parent_span = shard_span.id();
+    }
+    caches.alignment_memo = slice.alignment_memo.get();
+    auto clusters_or =
+        BuildClusters(query, *slice.source.index, thesaurus_, options_.params,
+                      clustering_options, pool, &clustering_busy,
+                      &corrupt_skipped, &io_retried, &caches, &qobs);
+    if (!clusters_or.ok()) return clusters_or.status();
+    if (slice.source.global_ids != nullptr) {
+      for (Cluster& c : *clusters_or) {
+        for (ScoredPath& sp : c.paths) {
+          sp.id = (*slice.source.global_ids)[sp.id];
+        }
+      }
+    }
+    sliced.push_back(std::move(*clusters_or));
+  }
+  const std::vector<Cluster> clusters =
+      sliced.size() == 1
+          ? std::move(sliced[0])
+          : MergeSliceClusters(std::move(sliced),
+                               options_.clustering.max_candidates_per_cluster);
   clustering_span = ObsSpan();
-  if (!clusters_or.ok()) return clusters_or.status();
-  const std::vector<Cluster>& clusters = *clusters_or;
   local.clustering_millis = phase.ElapsedMillis();
   local.clustering_busy_millis =
       static_cast<double>(clustering_busy.load()) / 1e6;
@@ -678,7 +711,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   BufferPool::Stats pages_after_clustering = pages_before;
   CacheCounters cache_after_clustering;
   if (profiling) {
-    pages_after_clustering = index_->cache_stats();
+    pages_after_clustering = pool_stats();
     cache_after_clustering = cache_totals();
   }
 
@@ -698,7 +731,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   local.search_expansions = fstats.expansions;
   local.search_bound_pruned = fstats.bound_pruned;
   local.search_roots_pruned = fstats.roots_pruned;
-  local.search_shared_bound_pruned = fstats.shared_bound_pruned;
   local.search_truncated = fstats.truncated;
 
   // Per-query cache stats come straight from this query's scoped sinks.
@@ -721,7 +753,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   if (options_.obs.trace || adopting) local.trace = trace;
 
   if (profiling) {
-    BufferPool::Stats pages_after_search = index_->cache_stats();
+    BufferPool::Stats pages_after_search = pool_stats();
     CacheCounters cache_after_search = cache_totals();
 
     ProfileSummary summary;
@@ -804,8 +836,10 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     }
     uint64_t skips = 0;
     if (label_cache_ != nullptr) skips += label_cache_->lru_lock_skips();
-    if (alignment_memo_ != nullptr) skips += alignment_memo_->lock_skips();
-    if (index_ != nullptr) skips += index_->query_cache_lock_skips();
+    for (const Slice& slice : slices) {
+      if (slice.alignment_memo) skips += slice.alignment_memo->lock_skips();
+      skips += slice.source.index->query_cache_lock_skips();
+    }
     if (thesaurus_ != nullptr) {
       skips += thesaurus_->relatedness_cache_lock_skips();
     }

@@ -219,13 +219,9 @@ struct QueryStats {
   uint64_t search_expansions = 0;
   uint64_t search_bound_pruned = 0;
   uint64_t search_roots_pruned = 0;
-  // Prunes owed solely to a cross-shard shared k-th bound
-  // (ForestSearchOptions::shared_bound); 0 outside sharded execution.
-  uint64_t search_shared_bound_pruned = 0;
   // Shards that were unusable (damaged index or sidecar) and therefore
-  // contributed no candidates to this query. Populated only by sharded
-  // execution (ShardedEngine); 0 on a healthy shard set and always 0
-  // for single-index engines.
+  // contributed no candidates to this query (ShardedEngine); 0 on a
+  // healthy shard set and always 0 for single-index engines.
   uint64_t shards_degraded = 0;
   // True when the anytime budget cut the combination space short (a
   // subtree exhausted its share, or subtrees went unexamined); while
@@ -267,8 +263,20 @@ struct QueryStats {
   std::shared_ptr<const QueryProfile> profile;
 };
 
+// One index a query clusters against (DESIGN.md §14): a PathIndex, or
+// one live shard of a ShardedIndex together with that shard's map from
+// local to global path ids.
+struct IndexSlice {
+  const PathIndex* index = nullptr;
+  // Global id of each local path id; null when the index's ids are
+  // already global (a single PathIndex).
+  const std::vector<PathId>* global_ids = nullptr;
+  // The shard number, naming the slice's shard-N.cluster span.
+  size_t shard = 0;
+};
+
 // The end-to-end Sama query processor (§5): preprocessing → clustering
-// → search over a pre-built PathIndex. Stateless across queries apart
+// → search over pre-built index slices. Stateless across queries apart
 // from the shared dictionary, which grows as query constants are
 // interned.
 class SamaEngine {
@@ -297,20 +305,9 @@ class SamaEngine {
     return QueryGraph::FromPatterns(patterns, graph_->shared_dict());
   }
 
-  // The scatter half of sharded execution (DESIGN.md §14): runs ONLY
-  // the clustering phase of Execute over this engine's index — same
-  // update lock, caches, degraded-read policy and stats attribution —
-  // and returns the per-query-path clusters sorted (λ asc, PathId
-  // asc). Cluster path ids are LOCAL to this engine's index; the
-  // sharded coordinator rewrites them to the global id space before
-  // merging. Plain queries should keep using Execute.
-  Result<std::vector<Cluster>> ClusterQuery(const QueryGraph& query,
-                                            QueryStats* stats = nullptr) const;
-
   const EngineOptions& options() const { return options_; }
   EngineOptions& mutable_options() { return options_; }
   const DataGraph& graph() const { return *graph_; }
-  const PathIndex& index() const { return *index_; }
   const Thesaurus* thesaurus() const { return thesaurus_; }
 
   // Threads executing each query: pool workers + the calling thread.
@@ -326,7 +323,8 @@ class SamaEngine {
   //
   // Turns on the WAL-backed mutation path. `graph` and `index` must be
   // the same objects the engine was constructed over (the const
-  // pointers gate queries; these mutable ones gate writes). Opens the
+  // pointers gate queries; these mutable ones gate writes); a
+  // ShardedEngine is read-only and always refuses. Opens the
   // WAL, then replays every record past the index's checkpoint LSN with
   // idempotent redo — after any crash the reconstructed state answers
   // queries byte-identically to a fresh offline build over the same
@@ -386,11 +384,25 @@ class SamaEngine {
   // otherwise. Shared across the engine copies ExecuteSparql makes.
   const ProfileLog* profile_log() const { return profile_log_.get(); }
 
+ protected:
+  // An engine over several slices (ShardedEngine): each query clusters
+  // against every slice, merges the clusters in the global id space
+  // and runs one forest search over them. `shards_degraded` is reported
+  // in every query's QueryStats.
+  SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
+             uint64_t shards_degraded, const Thesaurus* thesaurus,
+             EngineOptions options);
+
  private:
   struct UpdateState;  // Defined in engine.cc (owns the Wal).
+  // A slice plus its alignment memo: the memo keys on the slice's
+  // local path ids, which every shard numbers from 0.
+  struct Slice {
+    IndexSlice source;
+    std::unique_ptr<AlignmentMemo> alignment_memo;
+  };
 
   const DataGraph* graph_;
-  const PathIndex* index_;
   const Thesaurus* thesaurus_;
   EngineOptions options_;
   std::shared_ptr<ThreadPool> pool_;
@@ -399,10 +411,12 @@ class SamaEngine {
   std::shared_ptr<EngineInstruments> instruments_;
   std::shared_ptr<SlowQueryLog> slow_log_;
   std::shared_ptr<ProfileLog> profile_log_;
-  // Engine-owned cross-query memos, shared by the engine copies
-  // ExecuteSparql makes (hence shared_ptr).
+  // The index slices with their memos, shared by the engine copies
+  // ExecuteSparql makes; degraded shards of a sharded index have none.
+  std::shared_ptr<const std::vector<Slice>> slices_;
+  uint64_t shards_degraded_ = 0;
+  // Engine-owned cross-query memo, shared like the slices.
   std::shared_ptr<ShardedLruCache<uint64_t, LabelMatch>> label_cache_;
-  std::shared_ptr<AlignmentMemo> alignment_memo_;
   // The thesaurus content identity the label cache's entries were
   // computed under; a mismatch at query time (the thesaurus was
   // mutated) clears the cache. The alignment memo embeds the identity

@@ -51,32 +51,31 @@ namespace {
 // threshold refresh after every emit.
 constexpr size_t kWaveSize = 16;
 
-}  // namespace
-
-ForestJoinPlan PlanForestJoin(const IntersectionQueryGraph& ig,
-                              const std::vector<Cluster>& clusters) {
-  ForestJoinPlan plan;
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    if (!clusters[i].empty()) plan.active.push_back(i);
-  }
-  const size_t m = plan.active.size();
-  if (m == 0) return plan;
-  auto size_of = [&](size_t i) { return clusters[plan.active[i]].size(); };
-  auto qp_of = [&](size_t i) { return clusters[plan.active[i]].query_path_index; };
+// The join order over the active (non-empty) clusters, as positions
+// into `active`: start from the smallest, then greedily add the cluster
+// most connected (via IG edges) to the ones already ordered, size
+// breaking ties, so connectivity violations surface at depth 2 instead
+// of depth m.
+std::vector<size_t> JoinOrder(const IntersectionQueryGraph& ig,
+                              const std::vector<const Cluster*>& active) {
+  const size_t m = active.size();
+  auto size_of = [&](size_t i) { return active[i]->size(); };
+  auto qp_of = [&](size_t i) { return active[i]->query_path_index; };
+  std::vector<size_t> order;
   std::vector<bool> placed(m, false);
   size_t first = 0;
   for (size_t i = 1; i < m; ++i) {
     if (size_of(i) < size_of(first)) first = i;
   }
-  plan.order.push_back(first);
+  order.push_back(first);
   placed[first] = true;
-  while (plan.order.size() < m) {
+  while (order.size() < m) {
     size_t best = m;
     size_t best_links = 0;
     for (size_t i = 0; i < m; ++i) {
       if (placed[i]) continue;
       size_t links = 0;
-      for (size_t j : plan.order) {
+      for (size_t j : order) {
         if (ig.ChiQ(qp_of(i), qp_of(j)) > 0) ++links;
       }
       if (best == m || links > best_links ||
@@ -85,11 +84,13 @@ ForestJoinPlan PlanForestJoin(const IntersectionQueryGraph& ig,
         best_links = links;
       }
     }
-    plan.order.push_back(best);
+    order.push_back(best);
     placed[best] = true;
   }
-  return plan;
+  return order;
 }
+
+}  // namespace
 
 Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
                                          const IntersectionQueryGraph& ig,
@@ -152,15 +153,8 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   }
   const double fixed_cost = empty_penalty + empty_psi;
 
-  // Join order over the active clusters: start from the smallest,
-  // then greedily add the cluster most connected (via IG edges) to the
-  // ones already ordered, so connectivity violations surface at depth 2
-  // instead of depth m. Shared with the sharded gather via
-  // PlanForestJoin (its `active` equals ours by construction: both
-  // collect non-empty clusters in cluster order).
   const size_t m = active.size();
-  const std::vector<size_t> order =
-      PlanForestJoin(ig, clusters).order;  // Positions into `active`.
+  const std::vector<size_t> order = JoinOrder(ig, active);
 
   auto candidate = [&](size_t pos, size_t idx) -> const ScoredPath& {
     return active[order[pos]]->paths[idx];
@@ -330,36 +324,25 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   // when the freshly placed candidate breaks connectivity/binding
   // requirements. Returns the expansions actually used (<= share).
   // ALL pruning is strictly-worse-loses (`bound > θ`, never `>=`): a
-  // published threshold θ is the k-th best score of a real answer set,
-  // so an answer with score > θ is provably outside the top-k, while
-  // an equal-score tie must be emitted and settled by the canonical
+  // threshold θ is the k-th best score of a real answer set, so an
+  // answer with score > θ is provably outside the top-k, while an
+  // equal-score tie must be emitted and settled by the canonical
   // enumeration key in `keep`. That strictness is what makes the tie
-  // tail independent of wave scheduling, retry rounds and shard
-  // slicing — byte-identity across all of them hangs on it.
-  auto shared_threshold = [&options]() {
-    return options.shared_bound == nullptr
-               ? std::numeric_limits<double>::infinity()
-               : options.shared_bound->Load();
-  };
-
+  // tail independent of wave scheduling and retry rounds —
+  // byte-identity across both hangs on it.
   auto search_subtree = [&](size_t root, double inherited_threshold,
                             size_t share, std::vector<Answer>* out,
-                            size_t* pruned_out, size_t* shared_pruned_out,
-                            bool* truncated_out) {
+                            size_t* pruned_out, bool* truncated_out) {
     std::vector<size_t> choice(m, 0);
     std::vector<double> psi_prefix(m + 1, 0.0);  // ψ of edges in prefix.
     std::vector<double> lambda_prefix(m + 1, 0.0);
     std::unordered_map<std::string, double> local_best;
     size_t used = 0;
     size_t pruned = 0;
-    size_t shared_pruned = 0;
     bool out_of_budget = false;
 
-    // The engine-local threshold (wave θ + the k-th locally kept
-    // answer) and the shared cross-shard bound are kept separate so a
-    // prune that only the shared bound justified can be attributed to
-    // the bound exchange.
-    auto local_threshold = [&]() {
+    // The wave θ tightened by the k-th locally kept answer.
+    auto threshold = [&]() {
       double local = (options.k != 0 && out->size() >= options.k)
                          ? out->back().score
                          : std::numeric_limits<double>::infinity();
@@ -474,10 +457,8 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         double optimistic = fixed_cost + lambda_sum +
                             min_lambda_suffix[pos + 1] + psi_prefix[pos] +
                             psi_lb_suffix[pos];
-        double th_local = local_threshold();
-        if (prune && optimistic > std::min(th_local, shared_threshold())) {
+        if (prune && optimistic > threshold()) {
           pruned += candidate_count - pick;
-          if (optimistic <= th_local) shared_pruned += candidate_count - pick;
           break;
         }
 
@@ -504,10 +485,8 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         }
         if (!valid) continue;
         double full_bound = optimistic + psi_here - psi_lb_at[pos];
-        th_local = local_threshold();
-        if (prune && full_bound > std::min(th_local, shared_threshold())) {
+        if (prune && full_bound > threshold()) {
           ++pruned;
-          if (full_bound <= th_local) ++shared_pruned;
           continue;
         }
 
@@ -527,7 +506,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     psi_prefix[1] = 0.0;  // No edge completes at position 0.
     descend(descend, 1);
     *pruned_out = pruned;
-    *shared_pruned_out = shared_pruned;
     *truncated_out = out_of_budget;
     return used;
   };
@@ -556,16 +534,9 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   size_t total_used = 0;
 
   // Unfinished subtrees, always in ascending root index — which is
-  // ascending root λ, the order the root bound needs. A root filter
-  // (sharded scatter: this engine only owns a slice of the roots)
-  // removes subtrees up front; the per-root bookkeeping arrays stay
-  // indexed by global root index so shares and retries work unchanged.
-  std::vector<size_t> queue;
-  queue.reserve(num_subtrees);
-  for (size_t i = 0; i < num_subtrees; ++i) {
-    if (options.root_filter && !options.root_filter(candidate(0, i))) continue;
-    queue.push_back(i);
-  }
+  // ascending root λ, the order the root bound needs.
+  std::vector<size_t> queue(num_subtrees);
+  for (size_t i = 0; i < num_subtrees; ++i) queue[i] = i;
   // Per subtree: the share its last truncated attempt ran under (0 =
   // never truncated) and that attempt's answers.
   std::vector<size_t> truncated_at(num_subtrees, 0);
@@ -587,7 +558,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
 
     std::vector<uint8_t> completed(num_subtrees, 0);
     size_t refuted_from = num_subtrees;  // Root-bound cut (λ suffix).
-    bool refuted_by_shared = false;      // Cut owed to the shared bound.
     size_t next = 0;
     while (next < runnable.size() && total_used < options.max_expansions) {
       if (has_deadline && past_deadline()) {
@@ -596,10 +566,9 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         deadline_hit = true;
         break;
       }
-      double theta_local = (options.k != 0 && results.size() >= options.k)
+      const double theta = (options.k != 0 && results.size() >= options.k)
                                ? results.back().score
                                : std::numeric_limits<double>::infinity();
-      double theta = std::min(theta_local, shared_threshold());
       // Shrink waves near the budget boundary so the total can NEVER
       // overshoot max_expansions: a multi-subtree wave only runs when
       // the remaining budget covers every share in full, and the final
@@ -623,7 +592,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
                             min_lambda_suffix[1] + psi_lb_suffix[0];
         if (prune && optimistic > theta) {
           refuted_from = runnable[next];
-          refuted_by_shared = optimistic <= theta_local;
           next = runnable.size();
           break;
         }
@@ -634,24 +602,21 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       std::vector<std::vector<Answer>> wave_out(wave.size());
       std::vector<size_t> wave_used(wave.size(), 0);
       std::vector<size_t> wave_pruned(wave.size(), 0);
-      std::vector<size_t> wave_shared_pruned(wave.size(), 0);
       std::vector<uint8_t> wave_truncated(wave.size(), 0);
       if (wave.size() == 1) {
         // Inline fast path (always taken for m == 1): no task handoff
         // for a single-subtree wave.
         bool t = false;
-        wave_used[0] =
-            search_subtree(wave[0], theta_local, wave_share, &wave_out[0],
-                           &wave_pruned[0], &wave_shared_pruned[0], &t);
+        wave_used[0] = search_subtree(wave[0], theta, wave_share,
+                                      &wave_out[0], &wave_pruned[0], &t);
         wave_truncated[0] = t ? 1 : 0;
       } else {
         SAMA_RETURN_IF_ERROR(ParallelFor(
             pool, wave.size(),
             [&](size_t w) -> Status {
               bool t = false;
-              wave_used[w] = search_subtree(
-                  wave[w], theta_local, wave_share, &wave_out[w],
-                  &wave_pruned[w], &wave_shared_pruned[w], &t);
+              wave_used[w] = search_subtree(wave[w], theta, wave_share,
+                                            &wave_out[w], &wave_pruned[w], &t);
               wave_truncated[w] = t ? 1 : 0;
               return Status::Ok();
             },
@@ -663,10 +628,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       // and the k cut identically to a sequential insertion stream.
       for (size_t w = 0; w < wave.size(); ++w) {
         total_used += wave_used[w];
-        if (fstats != nullptr) {
-          fstats->bound_pruned += wave_pruned[w];
-          fstats->shared_bound_pruned += wave_shared_pruned[w];
-        }
+        if (fstats != nullptr) fstats->bound_pruned += wave_pruned[w];
         if (wave_truncated[w] != 0) {
           truncated_at[wave[w]] = wave_share;
           held[wave[w]] = std::move(wave_out[w]);
@@ -675,12 +637,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
           held[wave[w]].clear();
           keep(std::move(wave_out[w]), &results, &best_by_tuple);
         }
-      }
-      // Wave boundary: publish this search's k-th best into the
-      // cross-shard exchange so sibling shards can prune with it.
-      if (options.shared_bound != nullptr && options.k != 0 &&
-          results.size() >= options.k) {
-        options.shared_bound->Offer(results.back().score);
       }
     }
 
@@ -692,10 +648,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     for (size_t id : queue) {
       if (completed[id] != 0) continue;
       if (id >= refuted_from) {
-        if (fstats != nullptr) {
-          ++fstats->roots_pruned;
-          if (refuted_by_shared) ++fstats->shared_bound_pruned;
-        }
+        if (fstats != nullptr) ++fstats->roots_pruned;
         held[id].clear();
         continue;
       }
@@ -713,13 +666,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   if (fstats != nullptr) {
     fstats->expansions = total_used;
     fstats->truncated = truncated;
-  }
-  // Final publish: after the held-answer merge the list can only have
-  // tightened, and a sequentially executed sibling shard starts with
-  // this search's final k-th instead of its last wave's.
-  if (options.shared_bound != nullptr && options.k != 0 &&
-      results.size() >= options.k) {
-    options.shared_bound->Offer(results.back().score);
   }
   return results;
 }

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,10 +35,9 @@ struct Answer {
 
   // Canonical enumeration rank: the candidate index chosen at each
   // join position, in join order. Equal scores are ordered by this key
-  // everywhere (the k cut, dedup winners, the sharded gather), which
-  // makes the ranked list a pure function of the clusters — independent
-  // of wave scheduling, budget shares, retry rounds, thread count and
-  // of how roots are sliced across shards.
+  // everywhere (the k cut, dedup winners), which makes the ranked list
+  // a pure function of the clusters — independent of wave scheduling,
+  // budget shares, retry rounds and thread count.
   std::vector<uint32_t> enum_key;
 
   // The answer's subgraph as triples (s, p, o) of dictionary terms,
@@ -51,40 +48,6 @@ struct Answer {
   // yield empty-string literals. Used to compare answers across
   // systems.
   std::vector<Term> BindingTuple(const std::vector<std::string>& vars) const;
-};
-
-// A monotonically tightening global score bound shared by the searches
-// of one scatter-gather query (the cross-shard k-th-score exchange of
-// DESIGN.md §14). Each shard Offers its local k-th best score at wave
-// boundaries; Load returns the tightest score published so far.
-// Lower-is-better scores make this a CAS-min over the positive-double
-// range. A bound instance belongs to exactly ONE query execution —
-// reusing it across queries (or across the retry rounds of unrelated
-// requests) would leak a stale threshold into searches it was never
-// admissible for, so ShardedEngine constructs a fresh instance per
-// Execute call.
-class SharedScoreBound {
- public:
-  SharedScoreBound() = default;
-  SharedScoreBound(const SharedScoreBound&) = delete;
-  SharedScoreBound& operator=(const SharedScoreBound&) = delete;
-
-  // Publishes `score` if it is tighter (smaller) than every score
-  // published so far. NaN offers are ignored.
-  void Offer(double score) {
-    if (std::isnan(score)) return;
-    double cur = value_.load(std::memory_order_relaxed);
-    while (score < cur &&
-           !value_.compare_exchange_weak(cur, score,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  // The tightest published score; +inf before the first Offer.
-  double Load() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{std::numeric_limits<double>::infinity()};
 };
 
 struct ForestSearchOptions {
@@ -131,28 +94,6 @@ struct ForestSearchOptions {
   // got before the clock ran out), so the determinism contract only
   // covers searches without one.
   std::chrono::steady_clock::time_point deadline{};
-  // Cross-search k-th-score exchange for sharded scatter-gather
-  // (DESIGN.md §14). When non-null, every pruning threshold also
-  // consults shared_bound->Load(). All pruning is strictly-worse-loses
-  // (`bound > θ`), so equal-score answers — whose tie-break the
-  // canonical enumeration key settles in the merge — are never cut by
-  // a bound that a later-enumerating shard published first. The
-  // search publishes its own local k-th best into the bound at wave
-  // boundaries. Admissible under any publication interleaving (every
-  // published score is a real answer set's k-th, hence >= the final
-  // global k-th), so completed searches return byte-identical answers
-  // with or without the exchange; only the pruning COUNTERS are
-  // timing-dependent. The bound must be fresh per logical query: see
-  // SharedScoreBound.
-  SharedScoreBound* shared_bound = nullptr;
-  // When set, only first-join-position candidates passing this
-  // predicate root subtrees; every other join position still sees the
-  // full candidate lists. This is the scatter half of sharded search:
-  // each shard explores exactly the combinations anchored at the paths
-  // it owns, so the shard result sets partition the single-engine
-  // enumeration and the gather merge can replay it exactly. Null =
-  // all roots.
-  std::function<bool(const ScoredPath&)> root_filter;
 };
 
 // Observability counters for one ForestSearch call, reported through
@@ -168,12 +109,6 @@ struct ForestSearchStats {
   // Whole root subtrees skipped by the wave scheduler's λ-only root
   // bound (subtree roots are λ-sorted, so one failure ends the search).
   uint64_t roots_pruned = 0;
-  // The subset of bound_pruned + roots_pruned where the prune fired
-  // only because of ForestSearchOptions::shared_bound — i.e. the local
-  // threshold alone would have kept searching. This is the measurable
-  // win of the cross-shard bound exchange. Timing-dependent when
-  // shards publish concurrently (the answers are not).
-  uint64_t shared_bound_pruned = 0;
   // True when any part of the combination space went unexamined for
   // budget reasons: a subtree exhausted its per-subtree share, or the
   // wave loop stopped with subtrees left. While false, the returned
@@ -191,26 +126,6 @@ struct ForestSearchStats {
     return considered == 0 ? 0.0 : skipped / considered;
   }
 };
-
-// The deterministic join plan ForestSearch derives from a cluster set:
-// which clusters are active (non-empty, in cluster order) and the
-// greedy join order over them (smallest active cluster first, then
-// most-IG-connected, size tie-break). A pure function of the cluster
-// SIZES and the intersection query graph, so every party that sees the
-// same clusters computes the same plan — ForestSearch uses it
-// internally, and the sharded gather (DESIGN.md §14) uses it to
-// reconstruct the enumeration-order merge key of an answer: the
-// sequence over join positions of that position's (λ, PathId).
-struct ForestJoinPlan {
-  // Indices into the cluster vector, cluster order, non-empty only.
-  std::vector<size_t> active;
-  // Join order: positions into `active`. Answer::parts is indexed by
-  // active position, so parts[order[pos]] is the path placed at join
-  // position `pos`.
-  std::vector<size_t> order;
-};
-ForestJoinPlan PlanForestJoin(const IntersectionQueryGraph& ig,
-                              const std::vector<Cluster>& clusters);
 
 // The Search step (§5): organises the clusters' paths into a forest
 // whose edges carry ⟨(qi,qj):[ψ]⟩ labels and generates the top-k

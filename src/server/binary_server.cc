@@ -13,7 +13,6 @@
 #include "common/net.h"
 #include "query/sparql.h"
 #include "rdf/ntriples.h"
-#include "shard/sharded_engine.h"
 
 namespace sama {
 
@@ -156,13 +155,6 @@ BinaryQueryServer::BinaryQueryServer(const SamaEngine* engine, Options options)
   }
 }
 
-BinaryQueryServer::BinaryQueryServer(const ShardedEngine* engine,
-                                     Options options)
-    : BinaryQueryServer(static_cast<const SamaEngine*>(nullptr),
-                        std::move(options)) {
-  sharded_engine_ = engine;
-}
-
 BinaryQueryServer::~BinaryQueryServer() { Stop(); }
 
 Status BinaryQueryServer::Start() {
@@ -236,7 +228,7 @@ void BinaryQueryServer::Stop() {
   // deferred-durability records it journalled. Best-effort — a failure
   // here has nobody left to report to (the engine seals itself and the
   // next open replays the WAL).
-  if (engine_ != nullptr && engine_->updates_enabled()) {
+  if (engine_->updates_enabled()) {
     (void)engine_->FlushUpdates();
   }
   if (event_fd_ >= 0) close(event_fd_);
@@ -460,11 +452,6 @@ void BinaryQueryServer::HandleFrame(const std::shared_ptr<Conn>& conn,
         error(WireStatus::kShuttingDown, "server is draining");
         return;
       }
-      if (engine_ == nullptr) {
-        error(WireStatus::kReadOnly,
-              "sharded serving is read-only (rebuild shards to change data)");
-        return;
-      }
       if (!engine_->updates_enabled()) {
         error(WireStatus::kReadOnly,
               "server has no write path (serve without --updates)");
@@ -560,7 +547,7 @@ void BinaryQueryServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       // BEFORE the ack is staged. A failed flush is reported instead of
       // acked — durability is indeterminate and the client must know —
       // but the server still drains.
-      if (engine_ != nullptr && engine_->updates_enabled()) {
+      if (engine_->updates_enabled()) {
         Status flushed = engine_->FlushUpdates();
         if (!flushed.ok()) {
           error(WireStatus::kInternal, flushed.ToString());
@@ -669,38 +656,23 @@ void BinaryQueryServer::ExecuteQuery(
       uint64_t exec_span = 0;
       if (trace) exec_span = trace->BeginSpan("execute", root);
       QueryStats stats;
-      Result<std::vector<Answer>> answers = std::vector<Answer>();
-      if (sharded_engine_ != nullptr) {
-        // The sharded coordinator is non-copyable, so per-request
-        // settings travel in a RequestObs instead of on an engine copy.
-        ShardedEngine::RequestObs robs;
-        robs.adopt_trace = trace;
-        robs.adopt_parent = exec_span;
-        ForestSearchOptions search = sharded_engine_->options().search;
-        if (deadline_ms != 0) {
-          search.deadline = admitted + std::chrono::milliseconds(deadline_ms);
-          robs.search_override = &search;
-        }
-        answers = sharded_engine_->ExecuteSparqlTraced(*parsed, k, robs,
-                                                       &stats);
-      } else {
-        // Per-request configuration rides on an engine copy, the same
-        // idiom ExecuteSparql itself uses; the shared caches/pool are
-        // shared_ptr members, so the copy is cheap.
-        SamaEngine configured = *engine_;
-        if (deadline_ms != 0) {
-          configured.mutable_options().search.deadline =
-              admitted + std::chrono::milliseconds(deadline_ms);
-        }
-        ObsOptions& obs = configured.mutable_options().obs;
-        obs.request_id = request_id;
-        if (trace != nullptr) {
-          obs.adopt_trace = trace;
-          obs.adopt_parent = exec_span;
-          obs.trace_context = ctx;
-        }
-        answers = configured.ExecuteSparql(*parsed, k, &stats);
+      // Per-request configuration rides on an engine copy, the same
+      // idiom ExecuteSparql itself uses; the shared caches/pool are
+      // shared_ptr members, so the copy is cheap.
+      SamaEngine configured = *engine_;
+      if (deadline_ms != 0) {
+        configured.mutable_options().search.deadline =
+            admitted + std::chrono::milliseconds(deadline_ms);
       }
+      ObsOptions& obs = configured.mutable_options().obs;
+      obs.request_id = request_id;
+      if (trace != nullptr) {
+        obs.adopt_trace = trace;
+        obs.adopt_parent = exec_span;
+        obs.trace_context = ctx;
+      }
+      Result<std::vector<Answer>> answers =
+          configured.ExecuteSparql(*parsed, k, &stats);
       if (trace) trace->EndSpan(exec_span);
 
       if (!answers.ok()) {

@@ -24,8 +24,6 @@
 
 namespace sama {
 
-class ShardedEngine;
-
 // Serialises engine answers into the wire result. Centralised so the
 // server, the load generator and the determinism tests all produce
 // answers through the one encoder — "byte-identical vs direct engine
@@ -103,13 +101,10 @@ class BinaryQueryServer {
     MetricsRegistry* registry = nullptr;
   };
 
-  // `engine` is borrowed and must outlive the server.
+  // `engine` is borrowed and must outlive the server. UPDATE frames
+  // need an engine with updates enabled and are answered kReadOnly
+  // otherwise — always over a ShardedEngine, which has no write path.
   BinaryQueryServer(const SamaEngine* engine, Options options);
-  // Scatter-gather serving over a sharded index. Read-only: UPDATE
-  // frames are answered kReadOnly (sharded indexes have no write path;
-  // see ShardedEngine). Everything else — admission control, tracing,
-  // deadlines — behaves identically.
-  BinaryQueryServer(const ShardedEngine* engine, Options options);
   ~BinaryQueryServer();
 
   BinaryQueryServer(const BinaryQueryServer&) = delete;
@@ -205,8 +200,6 @@ class BinaryQueryServer {
   std::string RenderStats() const;
 
   const SamaEngine* engine_;
-  // Exactly one of engine_ / sharded_engine_ is non-null.
-  const ShardedEngine* sharded_engine_ = nullptr;
   Options options_;
   TraceStore trace_store_;
   uint16_t port_ = 0;

@@ -1,404 +1,35 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
-#include <string>
-#include <unordered_set>
 #include <utility>
-
-#include "common/timer.h"
+#include <vector>
 
 namespace sama {
 
-// The sharded coordinator's registry instruments (sama_shard_*),
-// resolved once per engine like EngineInstruments.
-struct ShardInstruments {
-  Counter* queries = nullptr;
-  Counter* shard_searches = nullptr;
-  Counter* bound_exchange_prunes = nullptr;
-  Gauge* degraded = nullptr;
-  Histogram* phase_scatter = nullptr;
-  Histogram* phase_search = nullptr;
-  Histogram* phase_merge = nullptr;
+namespace {
 
-  static ShardInstruments Resolve(MetricsRegistry* reg) {
-    ShardInstruments out;
-    out.queries = reg->GetCounter("sama_shard_queries_total",
-                                  "Sharded scatter-gather queries executed.");
-    out.shard_searches =
-        reg->GetCounter("sama_shard_searches_total",
-                        "Per-shard forest searches run (live shards × "
-                        "queries).");
-    out.bound_exchange_prunes = reg->GetCounter(
-        "sama_shard_bound_exchange_prunes_total",
-        "Prunes owed solely to the cross-shard k-th-score exchange.");
-    out.degraded =
-        reg->GetGauge("sama_shard_degraded",
-                      "Shards currently unusable (damaged index/sidecar).");
-    auto bounds = Histogram::LatencyBucketsMillis();
-    const char* help = "Per-phase sharded query latency.";
-    out.phase_scatter = reg->GetHistogram("sama_shard_phase_millis", help,
-                                          bounds, {{"phase", "scatter"}});
-    out.phase_search = reg->GetHistogram("sama_shard_phase_millis", help,
-                                         bounds, {{"phase", "search"}});
-    out.phase_merge = reg->GetHistogram("sama_shard_phase_millis", help,
-                                        bounds, {{"phase", "merge"}});
-    return out;
+std::vector<IndexSlice> LiveSlices(const ShardedIndex& index) {
+  std::vector<IndexSlice> slices;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    if (index.shard_degraded(s)) continue;
+    slices.push_back(IndexSlice{index.shard(s), &index.global_ids(s), s});
   }
-};
+  return slices;
+}
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(const DataGraph* graph, const ShardedIndex* index,
                              const Thesaurus* thesaurus, EngineOptions options)
-    : graph_(graph),
-      index_(index),
-      thesaurus_(thesaurus),
-      options_(options) {
-  size_t threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                            : options.num_threads;
-  // The coordinator owns ALL the parallelism: scatter fans the shards
-  // over this pool, and each sequential shard search parallelises its
-  // waves on it. The per-shard engines run single-threaded so the two
-  // levels never oversubscribe.
-  if (threads > 1) pool_ = std::make_shared<ThreadPool>(threads - 1);
-
-  EngineOptions shard_options = options_;
-  shard_options.num_threads = 1;
-  // Coordinator-level observability only: per-shard engines would
-  // otherwise multiply every sama_* series by N and retain N profile
-  // rings nobody reads.
-  shard_options.obs.metrics = false;
-  shard_options.obs.trace = false;
-  shard_options.obs.profile = false;
-  shard_options.obs.slow_query_millis = 0;
-  engines_.resize(index_->num_shards());
-  for (size_t s = 0; s < index_->num_shards(); ++s) {
-    if (index_->shard_degraded(s)) continue;
-    engines_[s] = std::make_unique<SamaEngine>(graph_, index_->shard(s),
-                                               thesaurus_, shard_options);
+    : SamaEngine(graph, LiveSlices(*index), index->degraded_shards(),
+                 thesaurus, std::move(options)) {
+  const ObsOptions& obs = this->options().obs;
+  if (obs.metrics) {
+    MetricsRegistry* reg =
+        obs.registry != nullptr ? obs.registry : MetricsRegistry::Global();
+    reg->GetGauge("sama_shard_degraded",
+                  "Shards currently unusable (damaged index/sidecar).")
+        ->Set(static_cast<double>(index->degraded_shards()));
   }
-
-  if (options_.obs.metrics) {
-    MetricsRegistry* reg = options_.obs.registry != nullptr
-                               ? options_.obs.registry
-                               : MetricsRegistry::Global();
-    instruments_ =
-        std::make_shared<ShardInstruments>(ShardInstruments::Resolve(reg));
-    instruments_->degraded->Set(
-        static_cast<double>(index_->degraded_shards()));
-  }
-  if (options_.obs.profile) {
-    profile_log_ = std::make_shared<ProfileLog>(options_.obs.profile_capacity);
-  }
-}
-
-ShardedEngine::~ShardedEngine() = default;
-
-Result<std::vector<Answer>> ShardedEngine::ExecuteSparql(
-    const SparqlQuery& query, size_t k, QueryStats* stats) const {
-  return ExecuteSparqlTraced(query, k, RequestObs(), stats);
-}
-
-Result<std::vector<Answer>> ShardedEngine::ExecuteSparqlTraced(
-    const SparqlQuery& query, size_t k, const RequestObs& robs,
-    QueryStats* stats) const {
-  if (k == 0) k = query.limit;
-  QueryGraph qg = BuildQueryGraph(query.patterns);
-  ForestSearchOptions search = robs.search_override != nullptr
-                                   ? *robs.search_override
-                                   : options_.search;
-  if ((options_.dedup_select_bindings || query.distinct) &&
-      !query.select_all) {
-    search.dedup_vars = query.select_vars;
-  }
-  if (!query.filters.empty()) {
-    std::vector<FilterConstraint> filters = query.filters;
-    search.binding_filter =
-        [filters = std::move(filters)](const Substitution& binding) {
-          return PassesFilters(filters, binding);
-        };
-  }
-  return ExecuteWith(qg, k, search, robs, stats);
-}
-
-Result<std::vector<Answer>> ShardedEngine::Execute(const QueryGraph& query,
-                                                   size_t k,
-                                                   QueryStats* stats) const {
-  return ExecuteWith(query, k, options_.search, RequestObs(), stats);
-}
-
-Result<std::vector<Answer>> ShardedEngine::ExecuteWith(
-    const QueryGraph& query, size_t k, const ForestSearchOptions& search,
-    const RequestObs& robs, QueryStats* stats) const {
-  WallTimer total;
-  QueryStats local;
-  local.threads_used = threads_used();
-  local.shards_degraded = index_->degraded_shards();
-
-  // When a server hands us a propagated trace, append into it under the
-  // request span; retained profiles are skipped in that mode because
-  // QueryProfile::Build assumes a single-query span tree.
-  const bool adopting = robs.adopt_trace != nullptr;
-  const bool profiling =
-      options_.obs.profile && profile_log_ != nullptr && !adopting;
-  std::shared_ptr<QueryTrace> trace;
-  if (adopting) {
-    trace = robs.adopt_trace;
-  } else if (options_.obs.trace || profiling) {
-    trace = std::make_shared<QueryTrace>();
-    if (options_.obs.trace_context.valid()) {
-      trace->SetContext(options_.obs.trace_context);
-    }
-  }
-  ObsSpan query_span = adopting
-                           ? ObsSpan(trace.get(), "query", robs.adopt_parent)
-                           : ObsSpan(trace.get(), "query");
-
-  WallTimer phase;
-  ObsSpan preprocess_span(trace.get(), "preprocess");
-  IntersectionQueryGraph ig(query);
-  preprocess_span = ObsSpan();
-  local.preprocess_millis = phase.ElapsedMillis();
-  local.num_query_paths = query.paths().size();
-
-  std::vector<size_t> live;
-  for (size_t s = 0; s < index_->num_shards(); ++s) {
-    if (engines_[s] != nullptr) live.push_back(s);
-  }
-  if (live.empty()) {
-    return Status::Internal("ShardedEngine: no live shards");
-  }
-
-  // ---- Scatter: every live shard clusters the query locally. The
-  // per-shard engines are independent (own caches, shared RCU
-  // dictionary) and results land in per-shard slots, so the concurrent
-  // and sequential paths produce identical state.
-  phase.Restart();
-  ObsSpan scatter_span(trace.get(), "scatter");
-  // Scatter lambdas run on pool workers, where thread-local parenting
-  // can't see the coordinator's scatter span — parent explicitly.
-  const uint64_t scatter_id = scatter_span.id();
-  std::vector<std::vector<Cluster>> shard_clusters(live.size());
-  std::vector<QueryStats> shard_stats(live.size());
-  auto scatter_one = [&](size_t i) -> Status {
-    ObsSpan cluster_span(trace.get(),
-                         "shard-" + std::to_string(live[i]) + ".cluster",
-                         scatter_id);
-    cluster_span.SetAttr("shard", std::to_string(live[i]));
-    auto clusters_or =
-        engines_[live[i]]->ClusterQuery(query, &shard_stats[i]);
-    if (!clusters_or.ok()) return clusters_or.status();
-    shard_clusters[i] = std::move(*clusters_or);
-    return Status::Ok();
-  };
-  if (pool_ != nullptr && live.size() > 1) {
-    SAMA_RETURN_IF_ERROR(ParallelFor(pool_.get(), live.size(), scatter_one));
-  } else {
-    for (size_t i = 0; i < live.size(); ++i) {
-      SAMA_RETURN_IF_ERROR(scatter_one(i));
-    }
-  }
-  // Local → global path ids. Monotone per shard, so each shard's
-  // (λ, id)-sorted cluster stays sorted.
-  for (size_t i = 0; i < live.size(); ++i) {
-    for (Cluster& c : shard_clusters[i]) {
-      for (ScoredPath& sp : c.paths) {
-        sp.id = index_->GlobalId(live[i], sp.id);
-      }
-    }
-  }
-
-  // Merge the per-shard clusters into the single-index candidate
-  // lists: concatenate, re-sort by (λ, global id) — the shard path
-  // sets are disjoint, so this is exactly the unsharded order — and
-  // re-apply the per-cluster cap (the global top-cap is a subset of
-  // the union of the per-shard top-caps, so nothing it needs was
-  // dropped locally).
-  const size_t num_clusters = shard_clusters[0].size();
-  std::vector<Cluster> clusters(num_clusters);
-  for (size_t j = 0; j < num_clusters; ++j) {
-    clusters[j].query_path_index = shard_clusters[0][j].query_path_index;
-  }
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (shard_clusters[i].size() != num_clusters) {
-      return Status::Internal(
-          "ShardedEngine: shards disagree on the cluster count");
-    }
-    for (size_t j = 0; j < num_clusters; ++j) {
-      Cluster& into = clusters[j];
-      for (ScoredPath& sp : shard_clusters[i][j].paths) {
-        into.paths.push_back(std::move(sp));
-      }
-    }
-  }
-  const size_t cap = options_.clustering.max_candidates_per_cluster;
-  for (Cluster& c : clusters) {
-    std::sort(c.paths.begin(), c.paths.end(),
-              [](const ScoredPath& a, const ScoredPath& b) {
-                if (a.lambda() != b.lambda()) return a.lambda() < b.lambda();
-                return a.id < b.id;
-              });
-    if (cap != 0 && c.paths.size() > cap) c.paths.resize(cap);
-  }
-  scatter_span = ObsSpan();
-  local.clustering_millis = phase.ElapsedMillis();
-  for (size_t i = 0; i < live.size(); ++i) {
-    const QueryStats& ss = shard_stats[i];
-    local.clustering_busy_millis += ss.clustering_busy_millis;
-    local.corrupt_records_skipped += ss.corrupt_records_skipped;
-    local.io_retries += ss.io_retries;
-    local.posting_cache += ss.posting_cache;
-    local.path_lookup_cache += ss.path_lookup_cache;
-    local.path_record_cache += ss.path_record_cache;
-    local.label_match_cache += ss.label_match_cache;
-    local.alignment_memo += ss.alignment_memo;
-    local.thesaurus_cache += ss.thesaurus_cache;
-  }
-  for (const Cluster& c : clusters) local.num_candidate_paths += c.size();
-
-  // ---- Search: sequential per-shard forest searches over the MERGED
-  // clusters, each restricted to roots the shard owns, exchanging k-th
-  // scores through one fresh bound (fresh per query — a reused bound
-  // would leak a stale threshold into an unrelated execution).
-  phase.Restart();
-  ObsSpan search_span(trace.get(), "search");
-  ForestSearchOptions base = search;
-  if (k != 0) base.k = k;
-  const ForestJoinPlan plan = PlanForestJoin(ig, clusters);
-  SharedScoreBound bound;
-  std::atomic<uint64_t> search_busy{0};
-  std::vector<Answer> collected;
-  auto absorb = [&local](const ForestSearchStats& fs) {
-    local.search_expansions += fs.expansions;
-    local.search_bound_pruned += fs.bound_pruned;
-    local.search_roots_pruned += fs.roots_pruned;
-    local.search_shared_bound_pruned += fs.shared_bound_pruned;
-    if (fs.truncated) local.search_truncated = true;
-  };
-  if (plan.active.empty()) {
-    // No join positions (every cluster empty): there is nothing to
-    // slice by root, and N filtered searches would each emit the same
-    // all-deleted partial answer. One unfiltered search reproduces the
-    // single-engine output exactly.
-    ForestSearchStats fs;
-    auto answers_or = ForestSearch(query, ig, clusters, options_.params, base,
-                                   pool_.get(), &search_busy, &fs);
-    if (!answers_or.ok()) return answers_or.status();
-    absorb(fs);
-    collected = std::move(*answers_or);
-  } else {
-    for (size_t s : live) {
-      ForestSearchOptions shard_search = base;
-      shard_search.shared_bound = &bound;
-      shard_search.root_filter = [this, s](const ScoredPath& sp) {
-        return index_->OwnerOf(sp.id) == static_cast<uint32_t>(s);
-      };
-      ObsSpan shard_span(trace.get(),
-                         "shard-" + std::to_string(s) + ".search");
-      shard_span.SetAttr("shard", std::to_string(s));
-      ForestSearchStats fs;
-      auto answers_or =
-          ForestSearch(query, ig, clusters, options_.params, shard_search,
-                       pool_.get(), &search_busy, &fs);
-      if (!answers_or.ok()) return answers_or.status();
-      shard_span.SetAttr("expansions", std::to_string(fs.expansions));
-      absorb(fs);
-      for (Answer& a : *answers_or) collected.push_back(std::move(a));
-    }
-  }
-  search_span = ObsSpan();
-  local.search_millis = phase.ElapsedMillis();
-  local.search_busy_millis = static_cast<double>(search_busy.load()) / 1e6;
-
-  // ---- Gather: merge the shard answer slices on the canonical
-  // (score, enumeration key) order. Every search — single-engine or
-  // per-shard — keeps "the k best by (score, enum_key)" over what it
-  // enumerated, and the root slices partition the enumeration, so
-  // sorting the union the same way and re-applying dedup and the k cut
-  // reproduces the single-engine list exactly. Since per-shard searches
-  // run over the MERGED clusters, their enum_keys index the same
-  // candidate lists a single engine would use and are directly
-  // comparable across shards.
-  phase.Restart();
-  ObsSpan merge_span(trace.get(), "merge");
-  std::vector<size_t> by_rank(collected.size());
-  for (size_t i = 0; i < by_rank.size(); ++i) by_rank[i] = i;
-  std::sort(by_rank.begin(), by_rank.end(), [&](size_t a, size_t b) {
-    if (collected[a].score != collected[b].score) {
-      return collected[a].score < collected[b].score;
-    }
-    return collected[a].enum_key < collected[b].enum_key;
-  });
-  std::vector<Answer> answers;
-  std::unordered_set<std::string> seen_tuples;
-  for (size_t idx : by_rank) {
-    if (base.k != 0 && answers.size() >= base.k) break;
-    Answer& a = collected[idx];
-    if (!base.dedup_vars.empty()) {
-      std::string key;
-      for (const Term& t : a.BindingTuple(base.dedup_vars)) {
-        key += t.ToString();
-        key += '\x1f';
-      }
-      if (!seen_tuples.insert(std::move(key)).second) continue;
-    }
-    answers.push_back(std::move(a));
-  }
-  merge_span.SetAttr("answers", std::to_string(answers.size()));
-  merge_span = ObsSpan();
-  const double merge_millis = phase.ElapsedMillis();
-
-  query_span = ObsSpan();
-  local.total_millis = total.ElapsedMillis();
-  local.num_answers = answers.size();
-  if (options_.obs.trace || adopting) local.trace = trace;
-
-  if (profiling) {
-    ProfileSummary summary;
-    summary.total_millis = local.total_millis;
-    summary.num_query_paths = local.num_query_paths;
-    summary.num_candidate_paths = local.num_candidate_paths;
-    summary.num_answers = local.num_answers;
-    summary.threads_used = local.threads_used;
-    summary.search_expansions = local.search_expansions;
-    summary.search_truncated = local.search_truncated;
-    std::vector<QueryProfile::PhaseCounters> phases(2);
-    phases[0].phase = "scatter";
-    {
-      ProfileCounters& c = phases[0].counters;
-      CacheCounters cache;
-      cache += local.posting_cache;
-      cache += local.path_lookup_cache;
-      cache += local.path_record_cache;
-      cache += local.label_match_cache;
-      cache += local.alignment_memo;
-      cache += local.thesaurus_cache;
-      c.cache_hits = cache.hits;
-      c.cache_misses = cache.misses;
-      c.io_retries = local.io_retries;
-      c.corrupt_skipped = local.corrupt_records_skipped;
-    }
-    phases[1].phase = "search";
-    phases[1].counters.search_expansions = local.search_expansions;
-    auto profile = std::make_shared<QueryProfile>(
-        QueryProfile::Build(trace->Snapshot(), std::move(summary), phases));
-    profile_log_->Add(profile);
-    local.profile = profile;
-  }
-
-  if (instruments_ != nullptr) {
-    const ShardInstruments& ins = *instruments_;
-    ins.queries->Increment();
-    ins.shard_searches->Increment(live.size());
-    if (local.search_shared_bound_pruned) {
-      ins.bound_exchange_prunes->Increment(local.search_shared_bound_pruned);
-    }
-    ins.degraded->Set(static_cast<double>(local.shards_degraded));
-    ins.phase_scatter->Observe(local.clustering_millis);
-    ins.phase_search->Observe(local.search_millis);
-    ins.phase_merge->Observe(merge_millis);
-  }
-
-  if (stats != nullptr) *stats = local;
-  return answers;
 }
 
 }  // namespace sama

@@ -1,122 +1,37 @@
 #ifndef SAMA_SHARD_SHARDED_ENGINE_H_
 #define SAMA_SHARD_SHARDED_ENGINE_H_
 
-#include <memory>
-#include <vector>
-
 #include "core/engine.h"
 #include "shard/sharded_index.h"
 
 namespace sama {
 
-struct ShardInstruments;
-
-// In-process scatter-gather execution over a ShardedIndex (DESIGN.md
-// §14, ROADMAP item 4). One coordinator owns the thread pool; each
-// shard is an ordinary SamaEngine over its shard's PathIndex.
+// A SamaEngine over a ShardedIndex (DESIGN.md §14). Each live shard is
+// one index slice: a query clusters against every shard's PathIndex,
+// rewrites the shard-local path ids to global ids, merges the clusters
+// into the single-index candidate lists by (λ, global id) and runs one
+// forest search over them. The search sees exactly the clusters a
+// single-index engine would build, so answers — scores, tie order and
+// global path ids — are byte-identical to a single-index run with the
+// same options, for any shard count, thread count and budget,
+// truncated queries included. Everything else (instruments, tracing,
+// profiles, the slow-query log, the per-request engine copy) is the
+// engine's own.
 //
-// A query runs in three phases:
-//   scatter — every live shard clusters the query against its own
-//     index (concurrently when the coordinator has a pool); local path
-//     ids are rewritten to the global id space.
-//   search  — the per-shard cluster lists merge into the exact
-//     single-index candidate lists (same (λ, id) order, same per-
-//     cluster cap), and each live shard runs a forest search over the
-//     MERGED clusters restricted — via ForestSearchOptions::root_filter
-//     — to subtrees rooted at the paths it owns. Searches run
-//     sequentially shard 0..N-1 (each one parallelises its waves on
-//     the coordinator pool) and exchange their k-th-best scores
-//     through one fresh SharedScoreBound, so a later shard prunes with
-//     the bound an earlier shard proved.
-//   gather  — shard answers merge by (score, enumeration key) and the
-//     engine's dedup/top-k rule replays over them.
-//
-// The root slices partition the single-engine enumeration, the shared
-// bound only prunes strictly-worse-than-θ* work, and the gather key
-// reproduces enumeration order — so answers (scores AND tie-break
-// order) are byte-identical to a single-index SamaEngine run with the
-// same options, for any shard count and thread count. The one carve-
-// out is the anytime budget: each shard spends its own max_expansions/
-// deadline, so a run the single engine would TRUNCATE may explore
-// differently here (search_truncated reports it either way).
-//
-// Degraded shards (ShardedIndex::Open non-strict) are simply absent:
-// their paths never enter the merged clusters, the remaining shards
-// still answer deterministically, and the loss is visible in
+// Degraded shards (ShardedIndex::Open non-strict) contribute no slice:
+// their paths never enter the clusters, the remaining shards still
+// answer deterministically, and the loss is visible in
 // QueryStats::shards_degraded and the sama_shard_degraded gauge.
 //
-// Sharded indexes are read-only — there is no EnableUpdates here;
-// rebuild to change the data (the replication transport of ROADMAP
-// item 3 is the intended delivery path for shard refresh).
-class ShardedEngine {
+// Sharded indexes are read-only: EnableUpdates refuses a sharded
+// engine, so a server over one answers UPDATE with kReadOnly. Rebuild
+// the shards to change the data.
+class ShardedEngine : public SamaEngine {
  public:
   // All pointers borrowed; must outlive the engine. `index` must be
   // ShardedIndex::Open()ed over `graph`.
   ShardedEngine(const DataGraph* graph, const ShardedIndex* index,
                 const Thesaurus* thesaurus, EngineOptions options = {});
-  ~ShardedEngine();
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  // Same contracts as SamaEngine::ExecuteSparql / Execute.
-  Result<std::vector<Answer>> ExecuteSparql(const SparqlQuery& query,
-                                            size_t k = 0,
-                                            QueryStats* stats = nullptr) const;
-  Result<std::vector<Answer>> Execute(const QueryGraph& query, size_t k,
-                                      QueryStats* stats = nullptr) const;
-
-  // Per-request execution context for servers. SamaEngine's per-request
-  // idiom is "copy the engine, tweak the copy" — this engine is
-  // non-copyable (it owns the per-shard engines), so request-scoped
-  // settings ride in explicitly instead (DESIGN.md §15).
-  struct RequestObs {
-    // Append this query's spans into an existing trace, parented under
-    // adopt_parent (the server's request span). The scatter/per-shard
-    // search/merge spans then land in the propagated trace tree, each
-    // shard span carrying a "shard" attribute.
-    std::shared_ptr<QueryTrace> adopt_trace;
-    uint64_t adopt_parent = 0;
-    // When set, replaces options().search as the base search options —
-    // the hook for per-request deadlines.
-    const ForestSearchOptions* search_override = nullptr;
-  };
-  Result<std::vector<Answer>> ExecuteSparqlTraced(const SparqlQuery& query,
-                                                  size_t k,
-                                                  const RequestObs& robs,
-                                                  QueryStats* stats) const;
-
-  QueryGraph BuildQueryGraph(const std::vector<Triple>& patterns) const {
-    return QueryGraph::FromPatterns(patterns, graph_->shared_dict());
-  }
-
-  const EngineOptions& options() const { return options_; }
-  const ShardedIndex& index() const { return *index_; }
-  size_t num_shards() const { return index_->num_shards(); }
-  size_t threads_used() const {
-    return pool_ == nullptr ? 1 : pool_->worker_count() + 1;
-  }
-  // The per-shard engine, for tests; null when the shard is degraded.
-  const SamaEngine* shard_engine(size_t s) const {
-    return engines_[s].get();
-  }
-
-  // The retained-profile ring (ObsOptions::profile); null otherwise.
-  const ProfileLog* profile_log() const { return profile_log_.get(); }
-
- private:
-  Result<std::vector<Answer>> ExecuteWith(const QueryGraph& query, size_t k,
-                                          const ForestSearchOptions& search,
-                                          const RequestObs& robs,
-                                          QueryStats* stats) const;
-
-  const DataGraph* graph_;
-  const ShardedIndex* index_;
-  const Thesaurus* thesaurus_;
-  EngineOptions options_;
-  std::shared_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<SamaEngine>> engines_;  // Null = degraded.
-  std::shared_ptr<ShardInstruments> instruments_;
-  std::shared_ptr<ProfileLog> profile_log_;
 };
 
 }  // namespace sama

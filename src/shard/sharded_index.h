@@ -29,8 +29,9 @@ namespace sama {
 // one shard, per-start emission order is identical filtered or not, so
 // prefix sums of the per-start path counts (gathered from the shard
 // builds themselves) reproduce the single-index id space exactly. That
-// identity is what lets the sharded engine merge per-shard clusters
-// into byte-identical single-engine candidate lists (DESIGN.md §14).
+// identity is what lets ShardedEngine cluster against each live shard
+// as one index slice and merge the slices' clusters into byte-identical
+// single-index candidate lists (DESIGN.md §14).
 //
 // Shard dirs are read-only at query time; the live-update path
 // (EnableUpdates) does not apply to sharded indexes — rebuild to
@@ -92,9 +93,10 @@ class ShardedIndex {
   // Null when the shard is degraded.
   const PathIndex* shard(size_t s) const { return shards_[s].index.get(); }
 
-  // Local→global id translation for shard `s` (ids from its PathIndex).
-  PathId GlobalId(size_t s, PathId local) const {
-    return shards_[s].global_ids[local];
+  // Local→global id translation for shard `s`, indexed by the local
+  // ids of its PathIndex; empty when the shard is degraded.
+  const std::vector<PathId>& global_ids(size_t s) const {
+    return shards_[s].global_ids;
   }
   // The shard owning a global path id; num_shards() when the id
   // belongs to a degraded (unopened) shard.

@@ -2,7 +2,7 @@
 // trace context rides the v2 header extension, the server adopts it,
 // and the one QueryTrace registered in the server's TraceStore ends up
 // holding the whole story — request spans, engine execution, per-shard
-// searches with shard attributes, and WAL append/fsync/apply for
+// clustering with shard attributes, and WAL append/fsync/apply for
 // updates — across MULTIPLE requests carrying the same trace id.
 
 #include <gtest/gtest.h>
@@ -184,21 +184,25 @@ TEST(TracePropagationTest, ShardedServeTracesPerShardAndRefusesUpdates) {
   std::vector<TraceSpan> spans = trace->Snapshot();
   std::vector<std::string> names = SpanNames(*trace);
   EXPECT_TRUE(HasSpan(names, "request"));
-  EXPECT_TRUE(HasSpan(names, "scatter"));
-  EXPECT_TRUE(HasSpan(names, "merge"));
-  // One search span per shard, each stamped with its shard id.
+  EXPECT_TRUE(HasSpan(names, "search"));
+  // The engine's own span tree: one clustering span with one
+  // shard-N.cluster child per live shard, each stamped with its shard
+  // id, then one search.
+  uint64_t clustering = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name == "clustering") clustering = s.id;
+  }
+  ASSERT_NE(clustering, 0u);
   size_t shard_spans = 0;
   for (const TraceSpan& s : spans) {
-    if (s.name.rfind("shard-", 0) != 0 ||
-        s.name.find(".search") == std::string::npos) {
-      continue;
-    }
+    if (s.name.rfind("shard-", 0) != 0) continue;
     ++shard_spans;
-    bool has_shard_attr = false;
+    EXPECT_EQ(s.parent, clustering) << s.name;
+    std::string shard;
     for (const auto& kv : s.attrs) {
-      has_shard_attr = has_shard_attr || kv.first == "shard";
+      if (kv.first == "shard") shard = kv.second;
     }
-    EXPECT_TRUE(has_shard_attr) << s.name;
+    EXPECT_EQ(s.name, "shard-" + shard + ".cluster");
   }
   EXPECT_EQ(shard_spans, 4u);
 

@@ -79,12 +79,12 @@ TEST_F(ShardedIndexTest, GlobalIdsReproduceTheSingleIndexSpace) {
     ASSERT_NE(sharded.shard(s), nullptr);
     uint64_t count = sharded.shard(s)->path_count();
     for (uint64_t local = 0; local < count; ++local) {
-      PathId g = sharded.GlobalId(s, local);
+      PathId g = sharded.global_ids(s)[local];
       ASSERT_LT(g, sharded.total_paths());
       ++owned[g];
       EXPECT_EQ(sharded.OwnerOf(g), s);
       if (local > 0) {
-        EXPECT_GT(g, sharded.GlobalId(s, local - 1));
+        EXPECT_GT(g, sharded.global_ids(s)[local - 1]);
       }
     }
   }
@@ -93,14 +93,14 @@ TEST_F(ShardedIndexTest, GlobalIdsReproduceTheSingleIndexSpace) {
   }
 
   // A shard's path `local` must be byte-identical to the single
-  // index's path GlobalId(s, local).
+  // index's path global_ids(s)[local].
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
     uint64_t count = sharded.shard(s)->path_count();
     for (uint64_t local = 0; local < count; local += 7) {
       Path from_shard, from_single;
       ASSERT_TRUE(sharded.shard(s)->GetPath(local, &from_shard).ok());
       ASSERT_TRUE(
-          single.GetPath(sharded.GlobalId(s, local), &from_single).ok());
+          single.GetPath(sharded.global_ids(s)[local], &from_single).ok());
       EXPECT_EQ(from_shard.ToString(graph_.dict()),
                 from_single.ToString(graph_.dict()));
     }
@@ -154,7 +154,7 @@ TEST_F(ShardedIndexTest, DamagedShardMapDegradesOrFails) {
   ASSERT_NE(lax.shard(0), nullptr);
   // Shard 0's ids resolve; the degraded shard's ids resolve to the
   // "unowned" sentinel.
-  EXPECT_EQ(lax.OwnerOf(lax.GlobalId(0, 0)), 0u);
+  EXPECT_EQ(lax.OwnerOf(lax.global_ids(0)[0]), 0u);
   size_t unowned = 0;
   for (uint64_t g = 0; g < lax.total_paths(); ++g) {
     if (lax.OwnerOf(g) == lax.num_shards()) ++unowned;

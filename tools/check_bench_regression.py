@@ -52,18 +52,14 @@ Usage:
      summary must not fall below the baseline by more than
      --tolerance — lock-freedom must not tax the uncontended case.
 
---mode=shard gates bench_shard artifacts (sharded scatter-gather):
+--mode=shard gates bench_shard artifacts (sharded search):
   1. Correctness (unconditional, never skipped): summary.mismatches
-     must be exactly zero — every untruncated query must be
+     must be exactly zero — every query, truncated or not, must be
      byte-identical (scores AND tie-break order) to the single-index
      run at every shard count.
-  2. Bound liveness (unconditional): summary.bound_exchange_prunes
-     must be positive — a zero means the cross-shard k-th-score bound
-     never cut anything and the exchange is dead code.
-  3. Coverage: summary.queries_compared must not fall below the
-     baseline — the identity check must not silently become vacuous
-     because more queries started truncating.
-  4. Latency: per-shard-count mean_ms must not exceed the baseline by
+  2. Coverage: summary.queries_compared must not fall below the
+     baseline — the identity check must not silently become vacuous.
+  3. Latency: per-shard-count mean_ms must not exceed the baseline by
      more than --tolerance (machine-dependent).
 
 --mode=obs gates bench_obs artifacts (tracing/telemetry overhead):
@@ -84,7 +80,7 @@ Latency/throughput are machine-dependent; the correctness and ratio
 checks are not. Pass --no-absolute to skip the machine-dependent
 checks (fig6 check 1; serve checks 2 and 3, except the --min-qps hard
 floor; wal checks 2 and 3, except the --min-appends hard floor; read
-checks 2 and 3; shard check 4) on hardware that does not match the
+checks 2 and 3; shard check 3) on hardware that does not match the
 baseline machine.
 """
 
@@ -295,19 +291,13 @@ def check_shard(new, base, args):
     failures = []
     new_sum, base_sum = new["summary"], base["summary"]
 
-    # Correctness first, and never skippable: identity and bound
-    # liveness are machine-independent by construction.
+    # Correctness first, and never skippable: identity is
+    # machine-independent by construction.
     mismatches = get_number(new_sum, "mismatches",
                             f"{args.new_json} summary")
     if mismatches != 0:
         failures.append(f"mismatches is {mismatches:g}; sharded answers "
                         f"must be byte-identical to the single index")
-    prunes = get_number(new_sum, "bound_exchange_prunes",
-                        f"{args.new_json} summary")
-    if prunes <= 0:
-        failures.append("bound_exchange_prunes is 0; the cross-shard "
-                        "k-th-score bound never pruned anything "
-                        "(dead exchange)")
 
     compared = get_number(new_sum, "queries_compared",
                           f"{args.new_json} summary")
@@ -320,8 +310,7 @@ def check_shard(new, base, args):
     if compared < base_compared:
         failures.append(
             f"queries_compared {compared:g} below baseline "
-            f"{base_compared:g}; the identity check lost coverage "
-            f"(more queries truncating)")
+            f"{base_compared:g}; the identity check lost coverage")
 
     new_runs = {int(get_number(r, "shards", f"{args.new_json} shard_runs")):
                 r for r in new.get("shard_runs", [])}
@@ -355,8 +344,7 @@ def check_shard(new, base, args):
 
     if not failures:
         print(f"shard bench ok: 0 mismatches over {compared:g} "
-              f"byte-compared queries, {prunes:.0f} bound-exchange "
-              f"prune(s), shard counts "
+              f"byte-compared queries, shard counts "
               f"{sorted(new_runs)} present")
     return failures
 

@@ -16,8 +16,8 @@
 //                      plus the sharding sidecars (DESIGN.md §14).
 //                      Querying that directory later (--index-dir
 //                      pointing at it) automatically runs the sharded
-//                      scatter-gather engine; answers are byte-identical
-//                      to a single-index run. --shards 1 is a valid
+//                      engine; answers are byte-identical to a
+//                      single-index run. --shards 1 is a valid
 //                      degenerate build.
 //   verify             Scan a persisted index directory: checksum every
 //                      page of every store, check the manifests and the
@@ -65,9 +65,9 @@
 //                      the SLO tracker are always on under serve;
 //                      --slow-query-ms defaults to 100 so /debug/queries
 //                      has a live ring. `serve --binary` accepts a
-//                      sharded --index-dir (read-only scatter-gather
-//                      serving) and co-hosts the same diagnostics
-//                      endpoints when --http-port is given.
+//                      sharded --index-dir (read-only serving) and
+//                      co-hosts the same diagnostics endpoints when
+//                      --http-port is given.
 //   top                Live terminal view of a serving process: QPS,
 //                      P50/P99, shed/error rates, cache hit ratio,
 //                      epoch pins and WAL lag, polled from
@@ -269,7 +269,7 @@ void PrintUsage() {
                "       sama_cli build --data FILE --index-dir DIR"
                " --shards N [--threads N]\n"
                "                      (partitioned sharded index; querying"
-               " DIR later scatter-gathers)\n"
+               " DIR later searches every shard)\n"
                "       sama_cli serve (--data FILE | --demo)"
                " [--port N] [--host ADDR]\n"
                "                      [--binary [--workers N] [--max-conns N]"
@@ -960,11 +960,8 @@ int RunBaseline(const CliOptions& options, sama::DataGraph* graph,
   return 0;
 }
 
-// Works for both SamaEngine and ShardedEngine — the execute surface
-// and QueryStats are shared, only the type differs.
-template <typename Engine>
 int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
-                Engine* engine, const std::string& sparql) {
+                const sama::SamaEngine* engine, const std::string& sparql) {
   auto query = sama::ParseSparql(sparql);
   if (!query.ok()) {
     std::fprintf(stderr, "query parse error: %s\n",
@@ -1023,13 +1020,6 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
         static_cast<unsigned long long>(stats.search_roots_pruned),
         100.0 * stats.SearchPruningRatio(),
         stats.search_truncated ? ", TRUNCATED by the anytime budget" : "");
-    if (stats.search_shared_bound_pruned > 0 || stats.shards_degraded > 0) {
-      std::printf(
-          "-- shards: %llu cross-shard bound-exchange prune(s), "
-          "%llu degraded shard(s)\n",
-          static_cast<unsigned long long>(stats.search_shared_bound_pruned),
-          static_cast<unsigned long long>(stats.shards_degraded));
-    }
     auto print_cache = [](const char* name,
                           const sama::CacheCounters& counters) {
       if (counters.lookups() == 0) return;
@@ -1050,6 +1040,88 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
           static_cast<unsigned long long>(stats.corrupt_records_skipped),
           static_cast<unsigned long long>(stats.io_retries));
     }
+  }
+  return 0;
+}
+
+// Opens the sharded index a `build --shards` run left in --index-dir.
+// Returns 0, or the exit code to leave with.
+int OpenShardedIndex(const CliOptions& options, sama::DataGraph* graph,
+                     sama::ShardedIndex* index) {
+  sama::Status opened =
+      index->Open(graph, options.index_dir, /*strict=*/options.strict_io);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "cannot open sharded index %s: %s\n",
+                 options.index_dir.c_str(), opened.ToString().c_str());
+    return 1;
+  }
+  if (index->degraded_shards() > 0) {
+    std::fprintf(stderr,
+                 "note: %zu of %zu shard(s) damaged; answering from the "
+                 "survivors (run `sama_cli verify` per shard dir)\n",
+                 index->degraded_shards(), index->num_shards());
+  }
+  if (options.stats) {
+    std::printf("-- sharded index: %zu shard(s), %llu paths, "
+                "%llu cut edge(s)\n",
+                index->num_shards(),
+                static_cast<unsigned long long>(index->total_paths()),
+                static_cast<unsigned long long>(index->cut_edges()));
+  }
+  return 0;
+}
+
+// Reuses the index persisted in --index-dir, or builds one (in memory
+// without --index-dir). Returns 0, or the exit code to leave with.
+int OpenOrBuildIndex(const CliOptions& options, sama::DataGraph* graph,
+                     sama::PathIndex* index) {
+  sama::PathIndexOptions index_options;
+  index_options.dir = options.index_dir;
+  index_options.num_threads = options.threads == 0
+                                  ? sama::ThreadPool::HardwareThreads()
+                                  : options.threads;
+  bool reused = false;
+  // Attempt a reuse whenever the directory holds a committed index OR
+  // leftovers of a crashed build — Open() also performs the recovery
+  // sweep that discards partial artifacts. kNotFound afterwards is the
+  // clean empty state (nothing committed), so the rebuild is silent;
+  // anything else (corruption, version mismatch) is worth a note.
+  if (!options.index_dir.empty() &&
+      (std::filesystem::exists(options.index_dir + "/index.meta") ||
+       std::filesystem::exists(options.index_dir + "/build.tmp"))) {
+    sama::Status opened = index->Open(graph, index_options);
+    if (opened.ok()) {
+      reused = true;
+      if (options.stats) {
+        std::printf("-- reusing persisted index in %s\n",
+                    options.index_dir.c_str());
+      }
+    } else if (opened.code() != sama::Status::Code::kNotFound) {
+      std::fprintf(stderr,
+                   "note: could not reuse index in %s (%s); rebuilding\n",
+                   options.index_dir.c_str(),
+                   opened.ToString().c_str());
+    }
+  }
+  if (!reused) {
+    sama::Status built = index->Build(*graph, index_options);
+    if (!built.ok()) {
+      std::fprintf(stderr, "index build failed: %s\n",
+                   built.ToString().c_str());
+      return 1;
+    }
+  }
+  if (options.stats) {
+    const sama::IndexStats& s = index->stats();
+    std::printf(
+        "-- index: %llu triples, %llu paths, |HV|=%llu, |HE|=%llu, "
+        "built in %s, %s on disk\n",
+        static_cast<unsigned long long>(s.num_triples),
+        static_cast<unsigned long long>(s.num_paths),
+        static_cast<unsigned long long>(s.hv),
+        static_cast<unsigned long long>(s.he),
+        sama::HumanMillis(s.build_millis).c_str(),
+        sama::HumanBytes(s.disk_bytes).c_str());
   }
   return 0;
 }
@@ -1183,187 +1255,32 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // A directory produced by `build --shards` answers through the
-  // scatter-gather engine; everything else follows the single-index
-  // path below. Binary serving works over shards (read-only — UPDATE
-  // frames are refused with kReadOnly); plain-HTTP serving and live
-  // updates remain single-index features.
-  if (!options.index_dir.empty() &&
-      sama::IsShardedIndexDir(options.index_dir)) {
-    if ((options.serve && !options.binary) || options.update) {
-      std::fprintf(stderr,
-                   "%s is a sharded index; plain `serve` and `update` "
-                   "require a single-index directory (rebuild without "
-                   "--shards, or use `serve --binary`)\n",
-                   options.index_dir.c_str());
-      return 2;
-    }
-    if (options.serve && options.serve_updates) {
-      std::fprintf(stderr,
-                   "--updates is not available over a sharded index "
-                   "(sharded serving is read-only)\n");
-      return 2;
-    }
-    sama::ShardedIndex sharded_index;
-    sama::Status opened = sharded_index.Open(&graph, options.index_dir,
-                                             /*strict=*/options.strict_io);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open sharded index %s: %s\n",
-                   options.index_dir.c_str(), opened.ToString().c_str());
-      return 1;
-    }
-    if (sharded_index.degraded_shards() > 0) {
-      std::fprintf(stderr,
-                   "note: %zu of %zu shard(s) damaged; answering from the "
-                   "survivors (run `sama_cli verify` per shard dir)\n",
-                   sharded_index.degraded_shards(),
-                   sharded_index.num_shards());
-    }
-    if (options.stats) {
-      std::printf("-- sharded index: %zu shard(s), %llu paths, "
-                  "%llu cut edge(s)\n",
-                  sharded_index.num_shards(),
-                  static_cast<unsigned long long>(
-                      sharded_index.total_paths()),
-                  static_cast<unsigned long long>(
-                      sharded_index.cut_edges()));
-    }
-    sama::Thesaurus thesaurus = sama::Thesaurus::BuiltinEnglish();
-    if (!options.thesaurus_path.empty()) {
-      sama::Status loaded = thesaurus.LoadFromFile(options.thesaurus_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "failed to load thesaurus: %s\n",
-                     loaded.ToString().c_str());
-        return 1;
-      }
-    }
-    sama::EngineOptions engine_options;
-    engine_options.num_threads = options.threads;
-    engine_options.strict_io = options.strict_io;
-    engine_options.params.prune_search = options.prune_search;
-    engine_options.cache.enabled = options.use_cache;
-    engine_options.obs.trace = options.trace;
-    engine_options.obs.metrics = options.metrics || options.serve;
-    engine_options.obs.trace_context = trace_ctx;
-    engine_options.obs.slo = MakeSloOptions(options);
-    engine_options.obs.profile =
-        options.explain || !options.profile_out.empty() || options.serve;
-    sama::ShardedEngine engine(&graph, &sharded_index,
-                               options.use_thesaurus ? &thesaurus : nullptr,
-                               engine_options);
-    if (options.serve) {
-      // Warmup so /metrics and the telemetry ring have content from
-      // the start, matching the single-index serve path.
-      std::string warmup = options.sparql;
-      if (!options.query_path.empty()) {
-        auto text = ReadFile(options.query_path);
-        if (!text.ok()) {
-          std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-          return 1;
-        }
-        warmup = *text;
-      }
-      if (!warmup.empty()) RunOneQuery(options, &graph, &engine, warmup);
-      sama::BinaryQueryServer::Options server_options;
-      server_options.host = options.host;
-      server_options.port = static_cast<uint16_t>(options.port);
-      server_options.num_workers = options.workers;
-      server_options.max_connections = options.max_conns;
-      server_options.max_queue = options.max_queue;
-      server_options.default_k = options.k;
-      server_options.default_deadline_ms =
-          static_cast<uint32_t>(options.deadline_ms);
-      server_options.trace_requests = options.trace;
-      sama::BinaryQueryServer server(&engine, server_options);
-      ObsState state;
-      state.profiles = engine.profile_log();
-      return RunBinaryServer(options, &server, state,
-                             /*updates_enabled=*/false,
-                             engine.options().obs.slo);
-    }
-    if (options.interactive) {
-      std::printf("Enter SPARQL queries, blank line to run, EOF to quit.\n");
-      std::string buffer, line;
-      while (std::getline(std::cin, line)) {
-        if (!line.empty()) {
-          buffer += line;
-          buffer += '\n';
-          continue;
-        }
-        if (buffer.empty()) continue;
-        RunOneQuery(options, &graph, &engine, buffer);
-        buffer.clear();
-      }
-      if (!buffer.empty()) RunOneQuery(options, &graph, &engine, buffer);
-      return 0;
-    }
-    std::string sparql = options.sparql;
-    if (!options.query_path.empty()) {
-      auto text = ReadFile(options.query_path);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 1;
-      }
-      sparql = *text;
-    }
-    int rc = RunOneQuery(options, &graph, &engine, sparql);
-    if (options.metrics) {
-      sama::RefreshEpochMetrics(sama::MetricsRegistry::Global());
-      std::printf("-- metrics:\n%s",
-                  sama::MetricsRegistry::Global()->RenderText().c_str());
-    }
-    return rc;
+  // A directory produced by `build --shards` answers through a
+  // ShardedEngine; only opening the index differs from the single-index
+  // path. Binary serving works over shards (read-only — UPDATE frames
+  // are refused with kReadOnly); plain-HTTP serving and live updates
+  // remain single-index features.
+  const bool sharded = !options.index_dir.empty() &&
+                       sama::IsShardedIndexDir(options.index_dir);
+  if (sharded && ((options.serve && !options.binary) || options.update)) {
+    std::fprintf(stderr,
+                 "%s is a sharded index; plain `serve` and `update` "
+                 "require a single-index directory (rebuild without "
+                 "--shards, or use `serve --binary`)\n",
+                 options.index_dir.c_str());
+    return 2;
   }
-
-  sama::PathIndexOptions index_options;
-  index_options.dir = options.index_dir;
-  index_options.num_threads = options.threads == 0
-                                  ? sama::ThreadPool::HardwareThreads()
-                                  : options.threads;
+  if (sharded && options.serve && options.serve_updates) {
+    std::fprintf(stderr,
+                 "--updates is not available over a sharded index "
+                 "(sharded serving is read-only)\n");
+    return 2;
+  }
+  sama::ShardedIndex sharded_index;
   sama::PathIndex index;
-  bool reused = false;
-  // Attempt a reuse whenever the directory holds a committed index OR
-  // leftovers of a crashed build — Open() also performs the recovery
-  // sweep that discards partial artifacts. kNotFound afterwards is the
-  // clean empty state (nothing committed), so the rebuild is silent;
-  // anything else (corruption, version mismatch) is worth a note.
-  if (!options.index_dir.empty() &&
-      (std::filesystem::exists(options.index_dir + "/index.meta") ||
-       std::filesystem::exists(options.index_dir + "/build.tmp"))) {
-    sama::Status opened = index.Open(&graph, index_options);
-    if (opened.ok()) {
-      reused = true;
-      if (options.stats) {
-        std::printf("-- reusing persisted index in %s\n",
-                    options.index_dir.c_str());
-      }
-    } else if (opened.code() != sama::Status::Code::kNotFound) {
-      std::fprintf(stderr,
-                   "note: could not reuse index in %s (%s); rebuilding\n",
-                   options.index_dir.c_str(),
-                   opened.ToString().c_str());
-    }
-  }
-  if (!reused) {
-    sama::Status built = index.Build(graph, index_options);
-    if (!built.ok()) {
-      std::fprintf(stderr, "index build failed: %s\n",
-                   built.ToString().c_str());
-      return 1;
-    }
-  }
-  if (options.stats) {
-    const sama::IndexStats& s = index.stats();
-    std::printf(
-        "-- index: %llu triples, %llu paths, |HV|=%llu, |HE|=%llu, "
-        "built in %s, %s on disk\n",
-        static_cast<unsigned long long>(s.num_triples),
-        static_cast<unsigned long long>(s.num_paths),
-        static_cast<unsigned long long>(s.hv),
-        static_cast<unsigned long long>(s.he),
-        sama::HumanMillis(s.build_millis).c_str(),
-        sama::HumanBytes(s.disk_bytes).c_str());
-  }
+  int opened = sharded ? OpenShardedIndex(options, &graph, &sharded_index)
+                       : OpenOrBuildIndex(options, &graph, &index);
+  if (opened != 0) return opened;
 
   sama::Thesaurus thesaurus = sama::Thesaurus::BuiltinEnglish();
   if (!options.thesaurus_path.empty()) {
@@ -1391,9 +1308,15 @@ int main(int argc, char** argv) {
     // default the operator can still override.
     engine_options.obs.slow_query_millis = 100;
   }
-  sama::SamaEngine engine(&graph, &index,
-                          options.use_thesaurus ? &thesaurus : nullptr,
-                          engine_options);
+  const sama::Thesaurus* engine_thesaurus =
+      options.use_thesaurus ? &thesaurus : nullptr;
+  // ShardedEngine adds only a constructor, so the sliced copy is the
+  // whole engine.
+  sama::SamaEngine engine =
+      sharded ? sama::ShardedEngine(&graph, &sharded_index, engine_thesaurus,
+                                    engine_options)
+              : sama::SamaEngine(&graph, &index, engine_thesaurus,
+                                 engine_options);
 
   // Post-run observability dumps, shared by the batch and interactive
   // paths.
