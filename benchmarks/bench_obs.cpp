@@ -2,8 +2,8 @@
 //
 //   BM_QueryTracedCrossShard — the same LUBM workload runs through one
 //     sharded engine twice per iteration, untraced (plain
-//     ExecuteSparql) and traced (a per-request engine copy adopting a
-//     TraceStore trace under a request span, the exact shape
+//     ExecuteSparql) and traced (a QueryContext adopting a TraceStore
+//     trace under a request span, the exact shape
 //     `sama_cli serve --binary` produces for a propagated trace id).
 //     Answers must be byte-identical between the two modes — tracing
 //     is observation, never behaviour — and the headline number is
@@ -154,18 +154,18 @@ int Run(const Options& options) {
         return 1;
       }
 
-      // The serving shape: a per-request engine copy adopting the trace
-      // under a request span, exactly what BinaryQueryServer does for a
-      // propagated id.
-      TraceContext ctx = TraceContext::Generate();
-      std::shared_ptr<QueryTrace> trace = store.GetOrCreate(ctx);
+      // The serving shape: the query adopts the trace under a request
+      // span, exactly what BinaryQueryServer does for a propagated id.
+      QueryContext query_ctx;
+      query_ctx.trace_context = TraceContext::Generate();
+      std::shared_ptr<QueryTrace> trace =
+          store.GetOrCreate(query_ctx.trace_context);
       t0 = Clock::now();
-      SamaEngine configured = engine;
-      ObsOptions& obs = configured.mutable_options().obs;
-      obs.adopt_trace = trace;
-      obs.adopt_parent = trace->BeginSpan("request", 0);
-      auto traced = configured.ExecuteSparql(*parsed, options.k, nullptr);
-      trace->EndSpan(obs.adopt_parent);
+      query_ctx.trace = trace;
+      query_ctx.parent_span = trace->BeginSpan("request", 0);
+      auto traced =
+          engine.ExecuteSparql(*parsed, options.k, nullptr, query_ctx);
+      trace->EndSpan(query_ctx.parent_span);
       double traced_ms = MillisSince(t0);
       if (!traced.ok()) {
         std::fprintf(stderr, "traced query %s failed: %s\n",

@@ -23,6 +23,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // ASCII-lowercases `s`.
 std::string ToLowerAscii(std::string_view s);
 
+// Escapes `s` for use inside a JSON string literal: quote, backslash,
+// \n, \t and \r get their short escapes, other control bytes become
+// \u00XX, and every other byte (UTF-8 included) passes through.
+std::string JsonEscape(std::string_view s);
+
 // Formats a byte count as "12.3 MB" style text (for Table 1 reporting).
 std::string HumanBytes(uint64_t bytes);
 

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <thread>
 
 namespace sama {
 namespace {
+
+// Transient-read retries before a candidate counts as unreadable.
+constexpr size_t kMaxIoRetries = 2;
 
 // Loads candidate `id` under the read-failure policy: transient
 // kIoError reads are retried with a short backoff; a candidate that
@@ -25,7 +27,7 @@ Status LoadCandidate(const PathIndex& index, PathId id,
   *skip = false;
   Status s = index.GetPath(id, out, record_stats);
   for (size_t attempt = 0;
-       s.code() == Status::Code::kIoError && attempt < options.max_io_retries;
+       s.code() == Status::Code::kIoError && attempt < kMaxIoRetries;
        ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
     if (io_retried != nullptr) {
@@ -185,13 +187,6 @@ Result<std::vector<Cluster>> BuildClusters(const QueryGraph& query,
                                            std::atomic<uint64_t>* io_retried,
                                            const QueryCaches* caches,
                                            const QueryObs* obs) {
-  // Honour the legacy knob: callers that ask for num_threads without
-  // providing a shared pool get a transient one.
-  std::unique_ptr<ThreadPool> transient;
-  if (pool == nullptr && options.num_threads > 1) {
-    transient = std::make_unique<ThreadPool>(options.num_threads - 1);
-    pool = transient.get();
-  }
   const bool parallel = pool != nullptr && pool->worker_count() > 0;
 
   const size_t n = query.paths().size();
@@ -219,10 +214,7 @@ Result<std::vector<Cluster>> BuildClusters(const QueryGraph& query,
     }
     first_chunk_of[qi + 1] = plan.size();
   }
-  if (deltas != nullptr) {
-    deltas->postings.Merge(lookup_stats.postings);
-    deltas->lookups.Merge(lookup_stats.lookups);
-  }
+  if (deltas != nullptr) deltas->lookups.Merge(lookup_stats.lookups);
 
   // Phase 2: score every chunk, possibly across threads. Output slots
   // are disjoint; ParallelFor reports the lowest failing chunk.

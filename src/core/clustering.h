@@ -56,7 +56,6 @@ struct QueryCaches {
 // chunk end, so one query's QueryStats reflect exactly its own traffic
 // even with other queries running concurrently on the same engine.
 struct QueryCacheDeltas {
-  AtomicCacheCounters postings;       // Inverted-index semantic memos.
   AtomicCacheCounters lookups;        // Candidate-list memo.
   AtomicCacheCounters records;        // GetPath record cache.
   AtomicCacheCounters label_matches;  // Shared label-match cache.
@@ -80,10 +79,6 @@ struct ClusteringOptions {
   // Keep only the best n candidates per cluster after scoring
   // (0 = keep all). The λ order is unaffected.
   size_t max_candidates_per_cluster = 0;
-  // Worker threads scoring candidates concurrently when no shared pool
-  // is passed to BuildClusters (a transient pool is spun up). 1 =
-  // sequential. Results are identical regardless of the thread count.
-  size_t num_threads = 1;
   // With max_candidates_per_cluster set, abort alignments as soon as
   // their λ can no longer make the cluster's top n (the §7
   // score-computation improvement). Results are identical; only wasted
@@ -93,12 +88,10 @@ struct ClusteringOptions {
   // unreadable candidate as an error; otherwise (the default) the
   // candidate is skipped and counted, and clustering proceeds over the
   // surviving paths. Skipping is per-candidate, so degraded results
-  // stay deterministic across thread counts.
+  // stay deterministic across thread counts. Either way a transient
+  // read (kIoError) is first retried twice, each retry backing off
+  // briefly.
   bool strict_io = false;
-  // Transient-read retries (kIoError only) before a candidate is
-  // skipped or, under strict_io, the error propagates. Each retry
-  // backs off briefly.
-  size_t max_io_retries = 2;
 };
 
 // Builds one cluster per query path: candidates are retrieved from the
@@ -107,12 +100,12 @@ struct ClusteringOptions {
 // data path may appear in several clusters with different scores
 // (Figure 3's p1 in cl1 [0] and cl2 [1.5]).
 //
-// When `pool` is non-null (or options.num_threads > 1), candidate
-// scoring fans out over fixed-size candidate chunks; chunk outputs are
-// merged in candidate order and re-sorted by (λ, id), so the returned
-// clusters are bit-identical to the sequential run — see DESIGN.md
-// "Threading model". `busy_nanos`, when non-null, accumulates the time
-// threads spent scoring (for QueryStats speedup reporting).
+// When `pool` has workers, candidate scoring fans out over fixed-size
+// candidate chunks; chunk outputs are merged in candidate order and
+// re-sorted by (λ, id), so the returned clusters are bit-identical to
+// the sequential run — see DESIGN.md "Threading model". `busy_nanos`,
+// when non-null, accumulates the time threads spent scoring (for
+// QueryStats speedup reporting).
 //
 // `corrupt_skipped` and `io_retried`, when non-null, accumulate the
 // candidates dropped for corruption/unreadability and the transient

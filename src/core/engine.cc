@@ -10,6 +10,10 @@ namespace sama {
 
 namespace {
 
+// Entries of the engine-owned memos (QueryCacheOptions).
+constexpr size_t kLabelMatchEntries = 1 << 16;
+constexpr size_t kAlignmentMemoEntries = 1 << 15;
+
 // Merges per-slice clusters, already in global path ids and each sorted
 // by (λ, id), into the single-index candidate lists: concatenate,
 // re-sort by (λ, global id) — the slices' path sets are disjoint, so
@@ -63,7 +67,8 @@ struct EngineInstruments {
   Counter* epoch_reclaimed = nullptr;
   // Absolute lifetime total, refreshed after each query (Set, not
   // Increment — the sum spans caches owned by engine, index and
-  // thesaurus, so deltas would double-count across engine copies).
+  // thesaurus, so deltas would double-count across engines sharing
+  // one index).
   Gauge* cache_lock_skips = nullptr;
 
   struct CacheSet {
@@ -79,8 +84,8 @@ struct EngineInstruments {
       if (insertions && d.insertions) insertions->Increment(d.insertions);
     }
   };
-  CacheSet postings, path_lookups, path_records, label_matches,
-      alignment_memo, thesaurus;
+  CacheSet path_lookups, path_records, label_matches, alignment_memo,
+      thesaurus;
 
   static EngineInstruments Resolve(MetricsRegistry* reg) {
     EngineInstruments out;
@@ -145,7 +150,6 @@ struct EngineInstruments {
                                      "Cache insertions.", {{"cache", name}});
       return s;
     };
-    out.postings = cache_set("postings");
     out.path_lookups = cache_set("path_lookups");
     out.path_records = cache_set("path_records");
     out.label_matches = cache_set("label_matches");
@@ -156,8 +160,8 @@ struct EngineInstruments {
 };
 
 // The live-update state EnableUpdates installs. One instance is shared
-// by every engine copy (ExecuteSparql, server workers), so `mu` is THE
-// ordering point between updates (exclusive) and queries (shared).
+// by every copy of the engine, so `mu` is THE ordering point between
+// updates (exclusive) and queries (shared).
 struct SamaEngine::UpdateState {
   std::shared_mutex mu;
   Wal wal;
@@ -255,13 +259,9 @@ Status SamaEngine::EnableUpdates(DataGraph* graph, PathIndex* index,
   if (updates_ != nullptr) {
     return Status::InvalidArgument("updates are already enabled");
   }
-  if (options.wal_dir.empty()) {
-    if (index->options().dir.empty()) {
-      return Status::InvalidArgument(
-          "updates need a WAL directory: set UpdateOptions::wal_dir or "
-          "use a disk-backed index");
-    }
-    options.wal_dir = index->options().dir + "/wal";
+  if (index->options().dir.empty()) {
+    return Status::InvalidArgument(
+        "updates need a disk-backed index: the WAL lives in its directory");
   }
   auto state = std::make_shared<UpdateState>();
   state->graph = graph;
@@ -289,7 +289,7 @@ Status SamaEngine::EnableUpdates(DataGraph* graph, PathIndex* index,
                     "Wall time of the last WAL recovery replay.");
 
   Wal::Options wal_options;
-  wal_options.dir = options.wal_dir;
+  wal_options.dir = index->options().dir + "/wal";
   wal_options.segment_bytes = options.segment_bytes;
   // An empty WAL dir must hand out LSNs from past the checkpoint:
   // restarting at 1 would journal updates replay then never sees.
@@ -473,31 +473,24 @@ SamaEngine::SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
                                              : options_.num_threads;
   // The calling thread participates in every parallel section, so a
   // request for N threads needs N-1 pool workers. The pool is shared
-  // (engine copies in ExecuteSparql reuse it) and lives for the
-  // engine's lifetime, not per query.
+  // across queries and lives for the engine's lifetime.
   if (threads > 1) pool_ = std::make_shared<ThreadPool>(threads - 1);
 
-  const QueryCacheOptions& cache = options_.cache;
-  if (cache.enabled) {
+  const bool caching = options_.cache.enabled;
+  if (caching) {
     label_cache_ = std::make_shared<ShardedLruCache<uint64_t, LabelMatch>>(
-        cache.label_match_entries, cache.shards);
+        kLabelMatchEntries);
     label_cache_identity_ = std::make_shared<std::atomic<uint64_t>>(
         thesaurus_ == nullptr ? 0 : thesaurus_->identity());
   }
-  IndexCacheConfig index_cache;
-  index_cache.enabled = cache.enabled;
-  index_cache.posting_entries = cache.posting_entries;
-  index_cache.lookup_entries = cache.path_lookup_entries;
-  index_cache.record_entries = cache.path_record_entries;
-  index_cache.shards = cache.shards;
   auto owned = std::make_shared<std::vector<Slice>>();
   for (const IndexSlice& source : slices) {
-    source.index->ConfigureQueryCache(index_cache);
+    source.index->ConfigureQueryCache(caching);
     Slice slice;
     slice.source = source;
-    if (cache.enabled) {
-      slice.alignment_memo = std::make_unique<AlignmentMemo>(
-          cache.alignment_memo_entries, cache.shards);
+    if (caching) {
+      slice.alignment_memo =
+          std::make_unique<AlignmentMemo>(kAlignmentMemoEntries);
     }
     owned->push_back(std::move(slice));
   }
@@ -513,13 +506,13 @@ SamaEngine::SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
   if (obs.slow_query_millis > 0) {
     SlowQueryLog::Options log_options;
     log_options.threshold_millis = obs.slow_query_millis;
-    log_options.capacity = obs.slow_query_capacity;
+    log_options.capacity = kSlowQueryCapacity;
     log_options.jsonl_path = obs.slow_query_path;
     log_options.env = obs.env;
     slow_log_ = std::make_shared<SlowQueryLog>(log_options);
   }
   if (obs.profile) {
-    profile_log_ = std::make_shared<ProfileLog>(obs.profile_capacity);
+    profile_log_ = std::make_shared<ProfileLog>(kProfileCapacity);
   }
 }
 
@@ -532,27 +525,31 @@ void SamaEngine::DropQueryCaches() const {
 }
 
 Result<std::vector<Answer>> SamaEngine::ExecuteSparql(
-    const SparqlQuery& query, size_t k, QueryStats* stats) const {
+    const SparqlQuery& query, size_t k, QueryStats* stats,
+    const QueryContext& ctx) const {
   if (k == 0) k = query.limit;
   QueryGraph qg = BuildQueryGraph(query.patterns);
-  SamaEngine configured = *this;
-  if ((options_.dedup_select_bindings || query.distinct) &&
-      !query.select_all) {
-    configured.options_.search.dedup_vars = query.select_vars;
-  }
+  ForestSearchOptions search = options_.search;
+  if (!query.select_all) search.dedup_vars = query.select_vars;
   if (!query.filters.empty()) {
-    std::vector<FilterConstraint> filters = query.filters;
-    configured.options_.search.binding_filter =
-        [filters = std::move(filters)](const Substitution& binding) {
-          return PassesFilters(filters, binding);
-        };
+    search.binding_filter = [filters = query.filters](
+                                const Substitution& binding) {
+      return PassesFilters(filters, binding);
+    };
   }
-  return configured.Execute(qg, k, stats);
+  return Run(qg, std::move(search), k, stats, ctx);
 }
 
 Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
-                                                size_t k,
-                                                QueryStats* stats) const {
+                                                size_t k, QueryStats* stats,
+                                                const QueryContext& ctx) const {
+  return Run(query, options_.search, k, stats, ctx);
+}
+
+Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
+                                            ForestSearchOptions search,
+                                            size_t k, QueryStats* stats,
+                                            const QueryContext& ctx) const {
   // Queries share the update lock; ApplyUpdate takes it exclusively, so
   // every query sees either all of an update or none of it. Read-only
   // engines (no EnableUpdates) skip the lock entirely.
@@ -592,29 +589,23 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   // Profiling needs the span trace as raw material, so it forces span
   // recording even when obs.trace is off (QueryStats::trace still
   // stays null in that case — the spans live inside the profile).
-  // An adopting query (obs.adopt_trace) appends into the propagated
-  // trace instead and skips profile assembly, whose builder assumes
-  // the trace holds exactly one query's spans.
-  const bool adopting = options_.obs.adopt_trace != nullptr;
+  // A query adopting the caller's trace (ctx.trace) appends into it
+  // instead and skips profile assembly, whose builder assumes the
+  // trace holds exactly one query's spans.
+  const bool adopting = ctx.trace != nullptr;
   const bool profiling =
       options_.obs.profile && profile_log_ != nullptr && !adopting;
-  std::shared_ptr<QueryTrace> trace;
-  if (adopting) {
-    trace = options_.obs.adopt_trace;
-    qobs.trace = trace.get();
-  } else if (options_.obs.trace || profiling) {
+  std::shared_ptr<QueryTrace> trace = ctx.trace;
+  if (!adopting && (options_.obs.trace || profiling)) {
     trace = std::make_shared<QueryTrace>();
-    if (options_.obs.trace_context.valid()) {
-      trace->SetContext(options_.obs.trace_context);
-    }
-    qobs.trace = trace.get();
+    if (ctx.trace_context.valid()) trace->SetContext(ctx.trace_context);
   }
+  qobs.trace = trace.get();
   // Adoption parents the query span explicitly: the caller's request
   // span was opened with raw BeginSpan on another thread, so the TLS
   // current-span slot cannot supply it.
   ObsSpan query_span = adopting
-                           ? ObsSpan(trace.get(), "query",
-                                     options_.obs.adopt_parent)
+                           ? ObsSpan(trace.get(), "query", ctx.parent_span)
                            : ObsSpan(trace.get(), "query");
 
   // Preprocessing: PQ is computed by the QueryGraph itself; build the
@@ -633,7 +624,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   // the search share is total minus the clustering share.
   auto cache_totals = [&deltas]() {
     CacheCounters total;
-    total += deltas.postings.Snapshot();
     total += deltas.lookups.Snapshot();
     total += deltas.records.Snapshot();
     total += deltas.label_matches.Snapshot();
@@ -663,9 +653,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   std::atomic<uint64_t> clustering_busy{0};
   std::atomic<uint64_t> corrupt_skipped{0};
   std::atomic<uint64_t> io_retried{0};
-  ClusteringOptions clustering_options = options_.clustering;
-  clustering_options.strict_io = options_.strict_io;
-  clustering_options.max_io_retries = options_.max_io_retries;
   ObsSpan clustering_span(trace.get(), "clustering");
   // Chunk spans recorded on pool workers parent here explicitly.
   qobs.parent_span = clustering_span.id();
@@ -683,7 +670,7 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     caches.alignment_memo = slice.alignment_memo.get();
     auto clusters_or =
         BuildClusters(query, *slice.source.index, thesaurus_, options_.params,
-                      clustering_options, pool, &clustering_busy,
+                      options_.clustering, pool, &clustering_busy,
                       &corrupt_skipped, &io_retried, &caches, &qobs);
     if (!clusters_or.ok()) return clusters_or.status();
     if (slice.source.global_ids != nullptr) {
@@ -717,13 +704,15 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
 
   // Search (parallel over candidate subtrees in deterministic waves).
   phase.Restart();
-  ForestSearchOptions search_options = options_.search;
-  if (k != 0) search_options.k = k;
+  if (k != 0) search.k = k;
+  if (ctx.deadline != std::chrono::steady_clock::time_point{}) {
+    search.deadline = ctx.deadline;
+  }
   std::atomic<uint64_t> search_busy{0};
   ForestSearchStats fstats;
   ObsSpan search_span(trace.get(), "search");
-  auto answers_or = ForestSearch(query, ig, clusters, options_.params,
-                                 search_options, pool, &search_busy, &fstats);
+  auto answers_or = ForestSearch(query, ig, clusters, options_.params, search,
+                                 pool, &search_busy, &fstats);
   search_span = ObsSpan();
   if (!answers_or.ok()) return answers_or.status();
   local.search_millis = phase.ElapsedMillis();
@@ -734,7 +723,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
   local.search_truncated = fstats.truncated;
 
   // Per-query cache stats come straight from this query's scoped sinks.
-  local.posting_cache = deltas.postings.Snapshot();
   local.path_lookup_cache = deltas.lookups.Snapshot();
   local.path_record_cache = deltas.records.Snapshot();
   local.label_match_cache = deltas.label_matches.Snapshot();
@@ -821,7 +809,6 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
     if (local.corrupt_records_skipped) {
       ins.corrupt_skipped->Increment(local.corrupt_records_skipped);
     }
-    ins.postings.Add(local.posting_cache);
     ins.path_lookups.Add(local.path_lookup_cache);
     ins.path_records.Add(local.path_record_cache);
     ins.label_matches.Add(local.label_match_cache);
@@ -848,10 +835,10 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
 
   if (slow_log_ != nullptr && slow_log_->ShouldRecord(local.total_millis)) {
     SlowQueryRecord record;
-    if (options_.obs.trace_context.valid()) {
-      record.trace_id = options_.obs.trace_context.TraceIdHex();
+    if (ctx.trace_context.valid()) {
+      record.trace_id = ctx.trace_context.TraceIdHex();
     }
-    record.request_id = options_.obs.request_id;
+    record.request_id = ctx.request_id;
     record.total_millis = local.total_millis;
     record.preprocess_millis = local.preprocess_millis;
     record.clustering_millis = local.clustering_millis;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -18,7 +19,6 @@
 #include "index/path_index.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/slo.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -29,10 +29,10 @@ namespace sama {
 
 struct EngineInstruments;
 
-// Sizing/enable knobs for the engine's query-side cache layer: the
-// index caches (postings, candidate lists, path records), the shared
-// label-match memo and the alignment memo. Every layer is a pure
-// optimisation — answers are byte-identical with `enabled = false`
+// The engine's query-side cache layer: the index caches (candidate
+// lists, path records), the shared label-match memo and the alignment
+// memo, each sized by a constant next to the cache. Every layer is a
+// pure optimisation — answers are byte-identical with `enabled = false`
 // (tests/core/engine_cache_test.cc) — and entry keys embed the
 // thesaurus content identity, so vocabulary changes can never serve
 // stale results. Caches are created at engine construction and shared
@@ -40,18 +40,6 @@ struct EngineInstruments;
 // speedup comes from.
 struct QueryCacheOptions {
   bool enabled = true;
-  // Per-inverted-index memo over semantic label lookups (×4 indexes).
-  size_t posting_entries = 2048;
-  // PathIndex candidate-list lookups (term → path ids).
-  size_t path_lookup_entries = 2048;
-  // Decoded, checksum-verified path records (corrupt reads are never
-  // cached; see PathIndex::GetPath).
-  size_t path_record_entries = 16384;
-  // Cross-query label-pair match results.
-  size_t label_match_entries = 1 << 16;
-  // Memoized full path alignments (see AlignmentMemo).
-  size_t alignment_memo_entries = 1 << 15;
-  size_t shards = 8;
 };
 
 // Observability knobs (DESIGN.md "Observability"). Tracing and the
@@ -70,16 +58,14 @@ struct ObsOptions {
   // Assemble a QueryProfile per query (phase tree + resource counters;
   // DESIGN.md "Observability"): forces span recording for the query
   // even when `trace` is off, attaches the profile as
-  // QueryStats::profile, and retains the last `profile_capacity`
-  // profiles in the engine's ProfileLog for /debug/profile. Off by
-  // default so the hot path stays profile-free.
+  // QueryStats::profile, and retains the last
+  // SamaEngine::kProfileCapacity profiles in the engine's ProfileLog for
+  // /debug/profile. Off by default so the hot path stays profile-free.
   bool profile = false;
-  size_t profile_capacity = 16;
   // Queries with total_millis >= this threshold are recorded in the
-  // slow-query log. <= 0 disables the log.
+  // slow-query log (a ring of SamaEngine::kSlowQueryCapacity records).
+  // <= 0 disables the log.
   double slow_query_millis = 0;
-  // Ring capacity of the in-memory slow-query log.
-  size_t slow_query_capacity = 128;
   // Optional JSONL sink for slow-query records, written through `env`
   // (Env::Default() when null) so fault injection covers it.
   std::string slow_query_path;
@@ -87,35 +73,37 @@ struct ObsOptions {
   // Registry receiving the engine's instruments;
   // MetricsRegistry::Global() when null.
   MetricsRegistry* registry = nullptr;
+};
 
-  // ---- Distributed-trace adoption (per-request; DESIGN.md §15).
-  // When `adopt_trace` is set, Execute appends this query's spans into
-  // that existing trace — the "query" span parents under
-  // `adopt_parent` (the server's request span) instead of being a root
-  // — so one propagated trace id collects the wire, shard and WAL
-  // spans of everything done on its behalf. Profiling is skipped for
-  // adopting queries (QueryProfile::Build assumes a single-query
-  // trace). Set these on the per-request engine copy, never on the
-  // shared engine.
-  std::shared_ptr<QueryTrace> adopt_trace;
-  uint64_t adopt_parent = 0;
+// The per-request inputs of one Execute/ExecuteSparql call (DESIGN.md
+// §11, §15). A default context is an ordinary query: no deadline, the
+// engine's own obs.trace/obs.profile decide tracing, and nothing is
+// stamped into its slow-query record.
+struct QueryContext {
+  // Absolute steady-clock deadline for the anytime search; the epoch
+  // means none. When set it replaces options.search.deadline (see
+  // ForestSearchOptions::deadline).
+  std::chrono::steady_clock::time_point deadline{};
+  // When set, the query appends its spans into this existing trace —
+  // the "query" span parents under `parent_span` (the server's request
+  // span) instead of being a root — so one propagated trace id
+  // collects the wire, shard and WAL spans of everything done on its
+  // behalf. Profiling is skipped for such queries (QueryProfile::Build
+  // assumes a single-query trace).
+  std::shared_ptr<QueryTrace> trace;
+  uint64_t parent_span = 0;
   // The propagated identity and server request id, stamped into
   // slow-query records so a slow query is joinable to the client that
   // sent it.
   TraceContext trace_context;
   uint64_t request_id = 0;
-
-  // Service-level objectives the serving layer's SloTracker evaluates
-  // over the telemetry ring. The engine itself never reads these.
-  SloOptions slo;
 };
 
-// Durability knobs for the live-update path (EnableUpdates). One WAL
-// serves the engine and every copy ExecuteSparql/the server makes.
+// Durability knobs for the live-update path (EnableUpdates). The WAL
+// lives at "<index dir>/wal", where VerifyIndexDir looks for it; an
+// in-memory index therefore rejects EnableUpdates (nothing durable to
+// recover into).
 struct UpdateOptions {
-  // WAL directory. Empty derives "<index dir>/wal"; an in-memory index
-  // then rejects EnableUpdates (nothing durable to recover into).
-  std::string wal_dir;
   uint64_t segment_bytes = 4 * 1024 * 1024;
   // Checkpoint the index and truncate the WAL after this many applied
   // updates; 0 leaves checkpoints to CheckpointUpdates().
@@ -145,24 +133,12 @@ struct EngineOptions {
   ForestSearchOptions search;
   QueryCacheOptions cache;
   ObsOptions obs;
-  // ExecuteSparql deduplicates answers on the SELECT variables
-  // (projection semantics); Execute on a raw QueryGraph never does.
-  bool dedup_select_bindings = true;
   // Threads used for intra-query parallelism (candidate scoring and
   // per-cluster forest search). 0 = hardware concurrency; 1 =
   // sequential. Answers are bit-identical for every value — the knob
   // only trades wall-clock time. Read at engine construction (the
   // worker pool is built once and shared across queries).
   size_t num_threads = 1;
-  // Read-failure policy. The default (false) degrades gracefully:
-  // candidates whose pages are corrupt or unreadable are skipped and
-  // counted in QueryStats, and top-k runs over the surviving paths —
-  // still deterministically. strict_io instead fails the query on the
-  // first damaged read. Overrides the same fields in `clustering`.
-  bool strict_io = false;
-  // Bounded retries (with backoff) for transient kIoError reads before
-  // a candidate is skipped or, under strict_io, the query fails.
-  size_t max_io_retries = 2;
 };
 
 // Per-query timing/size breakdown matching the paper's phases (§5).
@@ -194,7 +170,7 @@ struct QueryStats {
   uint64_t epoch_retired = 0;
   uint64_t epoch_reclaimed = 0;
 
-  // Degraded-read accounting (EngineOptions::strict_io == false):
+  // Degraded-read accounting (ClusteringOptions::strict_io == false):
   // candidates dropped because their pages were corrupt or unreadable,
   // and transient-read retries that were attempted. Both stay 0 on a
   // healthy index.
@@ -205,8 +181,10 @@ struct QueryStats {
   // per-query scoped counter sinks (QueryCacheDeltas) — NOT by diffing
   // the shared lifetime counters, which would absorb concurrent
   // queries' traffic. All zero when caching is disabled
-  // (QueryCacheOptions::enabled == false).
-  CacheCounters posting_cache;      // Inverted-index semantic lookups.
+  // (QueryCacheOptions::enabled == false). posting_cache is always
+  // zero — the label index keeps no memo; the candidate-list memo sits
+  // in front of it — and stays only for readers that report it.
+  CacheCounters posting_cache;
   CacheCounters path_lookup_cache;  // Candidate-list lookups.
   CacheCounters path_record_cache;  // GetPath records.
   CacheCounters label_match_cache;  // Shared label-pair matches.
@@ -289,16 +267,23 @@ class SamaEngine {
   SamaEngine(const DataGraph* graph, const PathIndex* index,
              const Thesaurus* thesaurus, EngineOptions options = {});
 
+  // Ring sizes of the profile log and the slow-query log.
+  static constexpr size_t kProfileCapacity = 16;
+  static constexpr size_t kSlowQueryCapacity = 128;
+
   // Runs a parsed SPARQL query; `k` overrides options.search.k when
   // non-zero, else the query's LIMIT applies, else the option default.
-  Result<std::vector<Answer>> ExecuteSparql(const SparqlQuery& query,
-                                            size_t k = 0,
-                                            QueryStats* stats = nullptr) const;
+  // Answers are deduplicated on the SELECT variables (projection
+  // semantics) unless the query selects *, and its FILTERs apply.
+  Result<std::vector<Answer>> ExecuteSparql(
+      const SparqlQuery& query, size_t k = 0, QueryStats* stats = nullptr,
+      const QueryContext& ctx = {}) const;
 
   // Runs an already-built query graph. The query graph must have been
   // built over this engine's shared dictionary (see BuildQueryGraph).
   Result<std::vector<Answer>> Execute(const QueryGraph& query, size_t k,
-                                      QueryStats* stats = nullptr) const;
+                                      QueryStats* stats = nullptr,
+                                      const QueryContext& ctx = {}) const;
 
   // Builds a query graph sharing the data graph's dictionary.
   QueryGraph BuildQueryGraph(const std::vector<Triple>& patterns) const {
@@ -306,7 +291,6 @@ class SamaEngine {
   }
 
   const EngineOptions& options() const { return options_; }
-  EngineOptions& mutable_options() { return options_; }
   const DataGraph& graph() const { return *graph_; }
   const Thesaurus* thesaurus() const { return thesaurus_; }
 
@@ -377,11 +361,11 @@ class SamaEngine {
   static std::vector<std::string> UpdateCrashPoints();
 
   // The slow-query log, when ObsOptions::slow_query_millis > 0; null
-  // otherwise. Shared across the engine copies ExecuteSparql makes.
+  // otherwise. Shared by copies of the engine.
   const SlowQueryLog* slow_query_log() const { return slow_log_.get(); }
 
   // The retained-profile ring, when ObsOptions::profile is set; null
-  // otherwise. Shared across the engine copies ExecuteSparql makes.
+  // otherwise. Shared by copies of the engine.
   const ProfileLog* profile_log() const { return profile_log_.get(); }
 
  protected:
@@ -402,6 +386,13 @@ class SamaEngine {
     std::unique_ptr<AlignmentMemo> alignment_memo;
   };
 
+  // Execute with the search options `search` (ExecuteSparql's carry
+  // its projection dedup and FILTERs).
+  Result<std::vector<Answer>> Run(const QueryGraph& query,
+                                  ForestSearchOptions search, size_t k,
+                                  QueryStats* stats,
+                                  const QueryContext& ctx) const;
+
   const DataGraph* graph_;
   const Thesaurus* thesaurus_;
   EngineOptions options_;
@@ -411,8 +402,8 @@ class SamaEngine {
   std::shared_ptr<EngineInstruments> instruments_;
   std::shared_ptr<SlowQueryLog> slow_log_;
   std::shared_ptr<ProfileLog> profile_log_;
-  // The index slices with their memos, shared by the engine copies
-  // ExecuteSparql makes; degraded shards of a sharded index have none.
+  // The index slices with their memos, shared by copies of the engine;
+  // degraded shards of a sharded index have none.
   std::shared_ptr<const std::vector<Slice>> slices_;
   uint64_t shards_degraded_ = 0;
   // Engine-owned cross-query memo, shared like the slices.

@@ -88,8 +88,9 @@ struct ForestSearchOptions {
   // starting waves, running subtrees abort at their next periodic
   // check, and the best answers found so far are returned with
   // ForestSearchStats::truncated set — exactly the expansion-budget
-  // anytime semantics, driven by time. The serving layer derives this
-  // from the per-request deadline_ms. Unlike every other option a
+  // anytime semantics, driven by time. SamaEngine replaces it with a
+  // set QueryContext::deadline, which the serving layer derives from
+  // the per-request deadline_ms. Unlike every other option a
   // deadline makes answers scheduling-dependent (how far the search
   // got before the clock ran out), so the determinism contract only
   // covers searches without one.

@@ -118,7 +118,6 @@ Status PathIndex::Build(const DataGraph& graph,
     store_options.path = stage_dir + "/paths.dat";
   }
   store_options.buffer_pool_pages = options.buffer_pool_pages;
-  store_options.compress = options.compress_paths;
   store_options.env = options.env;
   SAMA_RETURN_IF_ERROR(store_.Open(store_options));
 
@@ -206,10 +205,9 @@ Status PathIndex::Build(const DataGraph& graph,
   }
 
   // Persist the paths and index them by sink and by content. Bulk mode:
-  // no memoized lookups can exist yet, so the wholesale Add() is fine.
+  // no memoized lookups can exist yet, so no changed labels are tracked.
   for (const Path& p : paths) {
-    SAMA_RETURN_IF_ERROR(
-        IndexOnePath(p, nullptr, /*precise=*/false, nullptr, nullptr));
+    SAMA_RETURN_IF_ERROR(IndexOnePath(p));
   }
   node_index_.Finish();
   edge_index_.Finish();
@@ -513,7 +511,6 @@ Status PathIndex::Open(DataGraph* graph,
   store_options.path = options.dir + "/paths.dat";
   store_options.truncate = false;
   store_options.buffer_pool_pages = options.buffer_pool_pages;
-  store_options.compress = options.compress_paths;
   store_options.env = options.env;
   SAMA_RETURN_IF_ERROR(store_.Open(store_options));
 
@@ -574,6 +571,11 @@ const std::vector<PathId>& PathIndex::PathsWithSinkLabel(
 }
 
 namespace {
+
+// Entries of the query-side caches (ConfigureQueryCache): candidate
+// lists and decoded path records.
+constexpr size_t kLookupCacheEntries = 2048;
+constexpr size_t kRecordCacheEntries = 16384;
 
 constexpr char kKeySep = '\x1f';
 
@@ -651,8 +653,8 @@ std::vector<PathId> PathIndex::PathsWithSinkMatching(
     std::vector<PathId> cached;
     if (lookup_cache_->Get(key, &cached, lookup_stats)) return cached;
   }
-  std::vector<uint64_t> semantic = sink_index_.LookupSemantic(
-      term.DisplayLabel(), thesaurus, stats ? &stats->postings : nullptr);
+  std::vector<uint64_t> semantic =
+      sink_index_.LookupSemantic(term.DisplayLabel(), thesaurus);
   if (exact != kInvalidTermId) {
     semantic = Merge(std::move(semantic), PathsWithSinkLabel(exact));
   }
@@ -671,8 +673,8 @@ std::vector<PathId> PathIndex::PathsContaining(
     std::vector<PathId> cached;
     if (lookup_cache_->Get(key, &cached, lookup_stats)) return cached;
   }
-  std::vector<PathId> out = FilterDeleted(content_index_.LookupSemantic(
-      term.DisplayLabel(), thesaurus, stats ? &stats->postings : nullptr));
+  std::vector<PathId> out = FilterDeleted(
+      content_index_.LookupSemantic(term.DisplayLabel(), thesaurus));
   if (lookup_cache_) lookup_cache_->Put(key, out, lookup_stats);
   return out;
 }
@@ -697,41 +699,26 @@ Status PathIndex::GetPath(PathId id, Path* out,
   return s;
 }
 
-void PathIndex::ConfigureQueryCache(const IndexCacheConfig& config) const {
-  if (!config.enabled) {
+void PathIndex::ConfigureQueryCache(bool enabled) const {
+  if (!enabled) {
     lookup_cache_.reset();
     record_cache_.reset();
-    node_index_.ConfigureCache(0);
-    edge_index_.ConfigureCache(0);
-    sink_index_.ConfigureCache(0);
-    content_index_.ConfigureCache(0);
     return;
   }
   lookup_cache_ =
       std::make_unique<ShardedLruCache<std::string, std::vector<PathId>>>(
-          config.lookup_entries, config.shards);
-  record_cache_ = std::make_unique<ShardedLruCache<PathId, Path>>(
-      config.record_entries, config.shards);
-  node_index_.ConfigureCache(config.posting_entries, config.shards);
-  edge_index_.ConfigureCache(config.posting_entries, config.shards);
-  sink_index_.ConfigureCache(config.posting_entries, config.shards);
-  content_index_.ConfigureCache(config.posting_entries, config.shards);
+          kLookupCacheEntries);
+  record_cache_ =
+      std::make_unique<ShardedLruCache<PathId, Path>>(kRecordCacheEntries);
 }
 
 void PathIndex::DropQueryCaches() const {
   if (lookup_cache_) lookup_cache_->Clear();
   if (record_cache_) record_cache_->Clear();
-  node_index_.DropLookupCache();
-  edge_index_.DropLookupCache();
-  sink_index_.DropLookupCache();
-  content_index_.DropLookupCache();
 }
 
 uint64_t PathIndex::query_cache_lock_skips() const {
-  uint64_t skips = node_index_.cache_lock_skips() +
-                   edge_index_.cache_lock_skips() +
-                   sink_index_.cache_lock_skips() +
-                   content_index_.cache_lock_skips();
+  uint64_t skips = 0;
   if (lookup_cache_) skips += lookup_cache_->lru_lock_skips();
   if (record_cache_) skips += record_cache_->lru_lock_skips();
   return skips;
@@ -739,10 +726,6 @@ uint64_t PathIndex::query_cache_lock_skips() const {
 
 IndexCacheCounters PathIndex::query_cache_counters() const {
   IndexCacheCounters out;
-  out.postings += node_index_.cache_counters();
-  out.postings += edge_index_.cache_counters();
-  out.postings += sink_index_.cache_counters();
-  out.postings += content_index_.cache_counters();
   if (lookup_cache_) out.lookups = lookup_cache_->counters();
   if (record_cache_) out.records = record_cache_->counters();
   return out;
@@ -781,33 +764,19 @@ void PathIndex::ChangedLabels::Add(const TermDictionary& dict, TermId tid) {
   entries.push_back(std::move(entry));
 }
 
-Status PathIndex::IndexOnePath(const Path& p, const Thesaurus* thesaurus,
-                               bool precise, ChangedLabels* sink_labels,
+Status PathIndex::IndexOnePath(const Path& p, ChangedLabels* sink_labels,
                                ChangedLabels* content_labels) {
   const TermDictionary& dict = graph_->dict();
   auto id_or = store_.Put(p);
   if (!id_or.ok()) return id_or.status();
   PathId id = *id_or;
   by_sink_[p.sink_label()].push_back(id);
-  if (precise) {
-    sink_index_.AddPrecise(dict.term(p.sink_label()).DisplayLabel(), id,
-                           thesaurus);
-    for (TermId label : p.node_labels) {
-      content_index_.AddPrecise(dict.term(label).DisplayLabel(), id,
-                                thesaurus);
-    }
-    for (TermId label : p.edge_labels) {
-      content_index_.AddPrecise(dict.term(label).DisplayLabel(), id,
-                                thesaurus);
-    }
-  } else {
-    sink_index_.Add(dict.term(p.sink_label()).DisplayLabel(), id);
-    for (TermId label : p.node_labels) {
-      content_index_.Add(dict.term(label).DisplayLabel(), id);
-    }
-    for (TermId label : p.edge_labels) {
-      content_index_.Add(dict.term(label).DisplayLabel(), id);
-    }
+  sink_index_.Add(dict.term(p.sink_label()).DisplayLabel(), id);
+  for (TermId label : p.node_labels) {
+    content_index_.Add(dict.term(label).DisplayLabel(), id);
+  }
+  for (TermId label : p.edge_labels) {
+    content_index_.Add(dict.term(label).DisplayLabel(), id);
   }
   if (sink_labels != nullptr) sink_labels->Add(dict, p.sink_label());
   if (content_labels != nullptr) {
@@ -977,14 +946,13 @@ Status PathIndex::AddTriple(DataGraph* graph, const Triple& triple,
   // Element-to-element mapping for the new elements.
   for (NodeId n = static_cast<NodeId>(nodes_before);
        n < graph->node_count(); ++n) {
-    node_index_.AddPrecise(graph->node_term(n).DisplayLabel(), n, thesaurus);
+    node_index_.Add(graph->node_term(n).DisplayLabel(), n);
     if (options_.build_hypergraph && hypergraph_.vertex_count() > 0) {
       auto v = hypergraph_.AddVertex(graph->node_term(n).DisplayLabel());
       if (!v.ok()) return v.status();
     }
   }
-  edge_index_.AddPrecise(graph->edge_term(new_edge).DisplayLabel(), new_edge,
-                         thesaurus);
+  edge_index_.Add(graph->edge_term(new_edge).DisplayLabel(), new_edge);
   if (options_.build_hypergraph && hypergraph_.vertex_count() > 0) {
     auto he = hypergraph_.AddHyperedge({s, o});
     if (!he.ok()) return he.status();
@@ -1054,8 +1022,8 @@ Status PathIndex::AddTriple(DataGraph* graph, const Triple& triple,
         continue;
       }
       PathId id = store_.path_count();
-      SAMA_RETURN_IF_ERROR(IndexOnePath(combined, thesaurus, /*precise=*/true,
-                                        &sink_labels, &content_labels));
+      SAMA_RETURN_IF_ERROR(
+          IndexOnePath(combined, &sink_labels, &content_labels));
       ++added;
       if (options_.build_hypergraph && hypergraph_.vertex_count() > 0) {
         std::vector<VertexId> members(combined.nodes.begin(),
@@ -1073,9 +1041,8 @@ Status PathIndex::AddTriple(DataGraph* graph, const Triple& triple,
   // Candidate lists changed for the touched labels only (tombstones +
   // new paths): sweep exactly those entries instead of flushing the
   // cache — concurrent queries over unrelated clusters keep their
-  // memoized lookups. The posting memos were swept per-label by the
-  // AddPrecise() calls above. The record cache is safe to keep — ids
-  // are immutable and tombstones are screened before it.
+  // memoized lookups. The record cache is safe to keep — ids are
+  // immutable and tombstones are screened before it.
   InvalidateLookups(sink_labels, content_labels, thesaurus);
 
   sources_ = graph->Sources();
@@ -1152,8 +1119,7 @@ Status PathIndex::RemoveTriple(DataGraph* graph, const Triple& triple,
       signature.push_back(',');
     }
     if (!seen.insert(signature).second) continue;
-    SAMA_RETURN_IF_ERROR(IndexOnePath(p, thesaurus, /*precise=*/true,
-                                      &sink_labels, &content_labels));
+    SAMA_RETURN_IF_ERROR(IndexOnePath(p, &sink_labels, &content_labels));
     if (options_.build_hypergraph && hypergraph_.vertex_count() > 0) {
       std::vector<VertexId> members(p.nodes.begin(), p.nodes.end());
       auto he = hypergraph_.AddHyperedge(members);

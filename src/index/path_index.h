@@ -27,7 +27,6 @@ struct PathIndexOptions {
   // the paper assumes the graph "cannot fit in memory" (§6.1).
   std::string dir;
   size_t buffer_pool_pages = 4096;  // 16 MiB page cache.
-  bool compress_paths = true;
   // Worker threads for the concurrent BFS over sources (§6.1:
   // "independently concurrent traversals are started from each
   // source"). 1 = sequential.
@@ -60,27 +59,11 @@ struct PathIndexOptions {
   std::vector<std::pair<NodeId, uint64_t>>* per_start_counts = nullptr;
 };
 
-// Sizing knobs for the index's query-side caches (ConfigureQueryCache).
-// All three layers are pure optimisations: lookups return identical
-// results with caching disabled, and a record that fails its checksum
-// or read is NEVER cached (strict-io semantics are preserved).
-struct IndexCacheConfig {
-  bool enabled = true;
-  // Per-inverted-index memo over LookupSemantic results (×4 indexes).
-  size_t posting_entries = 2048;
-  // Memo over PathsWithSinkMatching / PathsContaining candidate lists.
-  size_t lookup_entries = 2048;
-  // Memo over GetPath records (decoded, checksum-verified paths).
-  size_t record_entries = 16384;
-  size_t shards = 8;
-};
-
-// Hit/miss totals of the three query-side cache layers. Also the
+// Hit/miss totals of the two query-side cache layers. Also the
 // per-query attribution sink the lookup entry points take: pass one
 // scoped to a query to receive only that query's traffic (diffing the
 // lifetime totals instead cross-attributes concurrent queries).
 struct IndexCacheCounters {
-  CacheCounters postings;  // The four inverted indexes, summed.
   CacheCounters lookups;
   CacheCounters records;
 };
@@ -178,7 +161,7 @@ class PathIndex {
 
   // Paths whose sink label matches `term` exactly or through the
   // thesaurus (§5 Clustering, sink case). `stats` (optional) receives
-  // this call's postings/lookup cache traffic.
+  // this call's lookup cache traffic.
   std::vector<PathId> PathsWithSinkMatching(
       const Term& term, const Thesaurus* thesaurus,
       IndexCacheCounters* stats = nullptr) const;
@@ -232,13 +215,17 @@ class PathIndex {
   // experiments).
   Status DropCaches();
 
-  // Installs (or, with config.enabled == false, removes) the
-  // query-side caches: the per-inverted-index posting memos, the
-  // candidate-list lookup memo and the path-record memo. Off until
-  // called — SamaEngine enables them from EngineOptions::cache. Const
-  // because engines hold the index by const reference; the caches are
+  // Installs (or, with `enabled` false, removes) the query-side
+  // caches: the candidate-list lookup memo over PathsWithSinkMatching /
+  // PathsContaining and the memo over GetPath records (decoded,
+  // checksum-verified paths), each sized by a constant. Off until
+  // called — SamaEngine enables them from EngineOptions::cache. Both
+  // are pure optimisations: lookups return identical results with
+  // caching disabled, and a record that fails its checksum or read is
+  // NEVER cached (strict-io semantics are preserved). Const because
+  // engines hold the index by const reference; the caches are
   // internally thread-safe and invisible to results.
-  void ConfigureQueryCache(const IndexCacheConfig& config) const;
+  void ConfigureQueryCache(bool enabled) const;
   // Drops every query-side cache entry (Build/Open/AddTriple call this
   // internally; exposed for tests and DropCaches).
   void DropQueryCaches() const;
@@ -300,13 +287,11 @@ class PathIndex {
   InvertedLabelIndex sink_index_;   // sink label -> PathId.
   InvertedLabelIndex content_index_;  // any path label -> PathId.
   // Appends `p` to the store and every lookup structure; used by both
-  // the bulk build and the live-update paths. With `precise` set the
-  // inverted indexes invalidate their memos per-label (AddPrecise)
-  // instead of wholesale, and the touched labels are accumulated into
-  // the changed-label sets for the lookup-cache sweep.
-  Status IndexOnePath(const Path& p, const Thesaurus* thesaurus,
-                      bool precise, ChangedLabels* sink_labels,
-                      ChangedLabels* content_labels);
+  // the bulk build and the live-update paths. The live-update paths
+  // pass changed-label sets, which accumulate the touched labels for
+  // the lookup-cache sweep.
+  Status IndexOnePath(const Path& p, ChangedLabels* sink_labels = nullptr,
+                      ChangedLabels* content_labels = nullptr);
   // Tombstones `id` everywhere it is visible, accumulating its labels
   // into the changed-label sets when given.
   void TombstonePath(PathId id, const Path& p,

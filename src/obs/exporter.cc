@@ -32,26 +32,6 @@ void AppendU64(std::string* out, uint64_t v) {
   *out += buf;
 }
 
-void JsonEscapeTo(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 // " [cache 34 hit / 3 miss, pages 12 fetched / 2 read / 1 evicted,
 //    8.0 KB read, io 2 retried / 1 corrupt, 840 expansions]"
 std::string CounterText(const ProfileCounters& c) {
@@ -172,7 +152,7 @@ std::string RenderChromeTrace(const QueryProfile& profile) {
   }
   for (const TraceSpan& span : profile.spans()) {
     out += ",\n{\"name\":\"";
-    JsonEscapeTo(&out, span.name);
+    out += JsonEscape(span.name);
     out += "\",\"cat\":\"sama\",\"ph\":\"X\",\"ts\":";
     out += Micros(span.start_millis);
     out += ",\"dur\":";
@@ -236,7 +216,7 @@ std::string RenderSpansChromeTrace(const std::vector<TraceSpan>& spans,
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
          "\"args\":{\"name\":\"sama trace ";
-  JsonEscapeTo(&out, trace_id);
+  out += JsonEscape(trace_id);
   out += "\"}}";
   std::set<uint32_t> threads;
   for (const TraceSpan& span : spans) threads.insert(span.thread);
@@ -249,7 +229,7 @@ std::string RenderSpansChromeTrace(const std::vector<TraceSpan>& spans,
   }
   for (const TraceSpan& span : spans) {
     out += ",\n{\"name\":\"";
-    JsonEscapeTo(&out, span.name);
+    out += JsonEscape(span.name);
     out += "\",\"cat\":\"sama\",\"ph\":\"X\",\"ts\":";
     out += Micros(span.start_millis);
     out += ",\"dur\":";
@@ -264,9 +244,9 @@ std::string RenderSpansChromeTrace(const std::vector<TraceSpan>& spans,
     }
     for (const auto& [key, value] : span.attrs) {
       out += ",\"";
-      JsonEscapeTo(&out, key);
+      out += JsonEscape(key);
       out += "\":\"";
-      JsonEscapeTo(&out, value);
+      out += JsonEscape(value);
       out += "\"";
     }
     out += "}}";
@@ -327,6 +307,12 @@ void RefreshEpochMetrics(MetricsRegistry* registry) {
       "Retired objects whose grace period has not yet passed; unbounded "
       "growth means a reader is stuck pinned.");
   if (pending != nullptr) pending->Set(static_cast<double>(s.pending()));
+}
+
+std::string RenderMetricsScrape(MetricsRegistry* registry) {
+  RefreshLatencyQuantiles(registry);
+  RefreshEpochMetrics(registry);
+  return registry->RenderText();
 }
 
 }  // namespace sama

@@ -54,6 +54,12 @@ void RefreshLatencyQuantiles(MetricsRegistry* registry);
 // keeps the lock-free read paths free of metrics traffic.
 void RefreshEpochMetrics(MetricsRegistry* registry);
 
+// What a /metrics scrape serves: refreshes the latency quantiles and
+// the epoch gauges above, then renders `registry` (non-null) in
+// Prometheus text format. sama_cli's /metrics handler and its
+// --metrics dump both print this.
+std::string RenderMetricsScrape(MetricsRegistry* registry);
+
 }  // namespace sama
 
 #endif  // SAMA_OBS_EXPORTER_H_

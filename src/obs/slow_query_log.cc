@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace sama {
 namespace {
 
@@ -16,26 +18,6 @@ void AppendField(std::string* out, const char* key, uint64_t v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key, (unsigned long long)v);
   *out += buf;
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -111,9 +93,9 @@ std::string SlowQueryLog::ToJsonLine(const SlowQueryRecord& r) {
   std::string out = "{";
   AppendField(&out, "unix_ms", static_cast<uint64_t>(r.unix_millis));
   out += ",\"label\":\"";
-  AppendEscaped(&out, r.label);
+  out += JsonEscape(r.label);
   out += "\",\"trace_id\":\"";
-  AppendEscaped(&out, r.trace_id);
+  out += JsonEscape(r.trace_id);
   out += "\",";
   AppendField(&out, "request_id", r.request_id);
   out.push_back(',');

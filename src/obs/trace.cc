@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace sama {
 namespace {
 
@@ -14,26 +16,6 @@ struct CurrentSpanSlot {
   uint64_t id = 0;
 };
 thread_local CurrentSpanSlot tls_current_span;
-
-void JsonEscapeTo(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -126,7 +108,7 @@ std::string QueryTrace::ToJson() const {
     std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)s.parent);
     out += buf;
     out += ",\"name\":\"";
-    JsonEscapeTo(&out, s.name);
+    out += JsonEscape(s.name);
     out += "\",\"thread\":";
     std::snprintf(buf, sizeof(buf), "%u", s.thread);
     out += buf;
@@ -139,9 +121,9 @@ std::string QueryTrace::ToJson() const {
       for (size_t a = 0; a < s.attrs.size(); ++a) {
         if (a) out.push_back(',');
         out.push_back('"');
-        JsonEscapeTo(&out, s.attrs[a].first);
+        out += JsonEscape(s.attrs[a].first);
         out += "\":\"";
-        JsonEscapeTo(&out, s.attrs[a].second);
+        out += JsonEscape(s.attrs[a].second);
         out.push_back('"');
       }
       out.push_back('}');

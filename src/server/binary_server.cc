@@ -146,13 +146,8 @@ struct BinaryQueryServer::Instruments {
 };
 
 BinaryQueryServer::BinaryQueryServer(const SamaEngine* engine, Options options)
-    : engine_(engine),
-      options_(std::move(options)),
-      trace_store_(options_.trace_store_capacity) {
+    : engine_(engine), options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  if (options_.max_payload == 0 || options_.max_payload > kMaxPayloadBytes) {
-    options_.max_payload = kMaxPayloadBytes;
-  }
 }
 
 BinaryQueryServer::~BinaryQueryServer() { Stop(); }
@@ -272,12 +267,6 @@ BinaryQueryServer::Stats BinaryQueryServer::stats() const {
   return s;
 }
 
-std::vector<std::shared_ptr<const QueryTrace>>
-BinaryQueryServer::request_traces() const {
-  std::lock_guard<std::mutex> lock(traces_mu_);
-  return {traces_.begin(), traces_.end()};
-}
-
 void BinaryQueryServer::WakeLoop() {
   uint64_t one = 1;
   ssize_t n = write(event_fd_, &one, sizeof(one));
@@ -361,7 +350,7 @@ void BinaryQueryServer::AcceptReady() {
       close(fd);
       continue;
     }
-    auto conn = std::make_shared<Conn>(options_.max_payload);
+    auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -656,23 +645,18 @@ void BinaryQueryServer::ExecuteQuery(
       uint64_t exec_span = 0;
       if (trace) exec_span = trace->BeginSpan("execute", root);
       QueryStats stats;
-      // Per-request configuration rides on an engine copy, the same
-      // idiom ExecuteSparql itself uses; the shared caches/pool are
-      // shared_ptr members, so the copy is cheap.
-      SamaEngine configured = *engine_;
+      QueryContext query_ctx;
       if (deadline_ms != 0) {
-        configured.mutable_options().search.deadline =
-            admitted + std::chrono::milliseconds(deadline_ms);
+        query_ctx.deadline = admitted + std::chrono::milliseconds(deadline_ms);
       }
-      ObsOptions& obs = configured.mutable_options().obs;
-      obs.request_id = request_id;
+      query_ctx.request_id = request_id;
       if (trace != nullptr) {
-        obs.adopt_trace = trace;
-        obs.adopt_parent = exec_span;
-        obs.trace_context = ctx;
+        query_ctx.trace = trace;
+        query_ctx.parent_span = exec_span;
+        query_ctx.trace_context = ctx;
       }
       Result<std::vector<Answer>> answers =
-          configured.ExecuteSparql(*parsed, k, &stats);
+          engine_->ExecuteSparql(*parsed, k, &stats, query_ctx);
       if (trace) trace->EndSpan(exec_span);
 
       if (!answers.ok()) {
@@ -699,11 +683,6 @@ void BinaryQueryServer::ExecuteQuery(
   if (trace) {
     trace->EndSpan(root);
     instruments_->request_spans->Increment(trace->size() - spans_before);
-    if (options_.trace_requests) {
-      std::lock_guard<std::mutex> lock(traces_mu_);
-      traces_.push_back(trace);
-      while (traces_.size() > options_.trace_capacity) traces_.pop_front();
-    }
   }
   instruments_->request_millis->Observe(MillisSince(admitted));
   uint64_t depth = queue_depth_.fetch_sub(1);

@@ -74,8 +74,6 @@ class BinaryQueryServer {
     size_t max_connections = 64;
     // Admitted-but-unfinished query cap; beyond it QUERYs are shed.
     size_t max_queue = 128;
-    // Per-frame payload cap (protocol kTooLarge above it).
-    size_t max_payload = kMaxPayloadBytes;
     // k when the request leaves it 0.
     size_t default_k = 10;
     // Deadline applied when a request carries deadline_ms == 0;
@@ -85,17 +83,12 @@ class BinaryQueryServer {
     // the owner decides when to Stop). Off = kBadRequest.
     bool allow_remote_shutdown = true;
     // Record a per-request span trace (request > queue/execute/encode)
-    // for QUERY frames and retain the most recent few for debugging
-    // (request_traces()). Span count is exported as
-    // sama_server_request_spans_total either way the spans are only
-    // recorded when this is on.
+    // for every QUERY and UPDATE frame under a server-minted trace id,
+    // kept in trace_store(). A frame carrying a trace context is always
+    // collected there — even with this off — because the client
+    // explicitly asked to be traced (DESIGN.md §15). Span count is
+    // exported as sama_server_request_spans_total.
     bool trace_requests = false;
-    size_t trace_capacity = 8;
-    // Distinct propagated trace ids kept alive in trace_store()
-    // (DESIGN.md §15). A frame carrying a trace context is always
-    // collected there — even with trace_requests off — because the
-    // client explicitly asked to be traced.
-    size_t trace_store_capacity = 256;
     // Registry for the sama_server_* instruments;
     // MetricsRegistry::Global() when null. Tests pass their own.
     MetricsRegistry* registry = nullptr;
@@ -150,12 +143,10 @@ class BinaryQueryServer {
   };
   Stats stats() const;
 
-  // The most recent per-request traces (trace_requests only), newest
-  // last. Each has spans request > queue / execute / encode.
-  std::vector<std::shared_ptr<const QueryTrace>> request_traces() const;
-
-  // Propagated traces keyed by trace id, for /debug/trace?id=. Lives
-  // as long as the server; safe to read concurrently with serving.
+  // Request traces keyed by trace id, for /debug/trace?id=: the
+  // propagated ones and, with trace_requests, the server-minted ones.
+  // Keeps the most recent 256 ids; lives as long as the server; safe
+  // to read concurrently with serving.
   const TraceStore& trace_store() const { return trace_store_; }
 
  private:
@@ -175,8 +166,6 @@ class BinaryQueryServer {
     uint64_t flushed_seq = 0;                // Responses already staged.
     std::map<uint64_t, std::string> ready;   // seq -> encoded response.
     std::condition_variable cv;              // Signalled by Complete().
-
-    explicit Conn(size_t max_payload) : decoder(max_payload) {}
   };
 
   void EventLoop();
@@ -235,9 +224,6 @@ class BinaryQueryServer {
   std::atomic<uint64_t> updates_ok_{0};
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> errors_{0};
-
-  mutable std::mutex traces_mu_;
-  std::deque<std::shared_ptr<const QueryTrace>> traces_;
 
   // sama_server_* instruments, resolved once in Start.
   struct Instruments;

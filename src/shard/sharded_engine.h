@@ -15,7 +15,7 @@ namespace sama {
 // global path ids — are byte-identical to a single-index run with the
 // same options, for any shard count, thread count and budget,
 // truncated queries included. Everything else (instruments, tracing,
-// profiles, the slow-query log, the per-request engine copy) is the
+// profiles, the slow-query log, the per-request QueryContext) is the
 // engine's own.
 //
 // Degraded shards (ShardedIndex::Open non-strict) contribute no slice:

@@ -138,7 +138,6 @@ Status BuildShardedIndex(const DataGraph& graph, const std::string& base_dir,
     PathIndexOptions pio;
     pio.dir = ShardDir(base_dir, s);
     pio.buffer_pool_pages = options.buffer_pool_pages;
-    pio.compress_paths = options.compress_paths;
     pio.num_threads = options.num_threads;
     pio.enumerate = options.enumerate;
     pio.build_hypergraph = options.build_hypergraph;

@@ -39,7 +39,6 @@ namespace sama {
 struct ShardedIndexOptions {
   size_t num_shards = 2;
   size_t buffer_pool_pages = 4096;  // Per shard.
-  bool compress_paths = true;
   size_t num_threads = 1;
   // enumerate.max_paths must stay 0: a global truncation cap has no
   // coherent per-shard restriction (PathIndexOptions::start_mask).

@@ -27,87 +27,10 @@ void InvertedLabelIndex::Cursor::SeekTo(uint64_t target) {
 
 void InvertedLabelIndex::Add(std::string_view label, uint64_t id) {
   finished_ = false;
-  DropLookupCache();  // Memoized lookups predate this posting.
   exact_postings_[NormalizeLabel(label)].push_back(id);
   for (const std::string& token : TokenizeLabel(label)) {
     token_postings_[token].push_back(id);
   }
-}
-
-void InvertedLabelIndex::AddPrecise(std::string_view label, uint64_t id,
-                                    const Thesaurus* thesaurus) {
-  finished_ = false;
-  InvalidateLabel(label, thesaurus);
-  exact_postings_[NormalizeLabel(label)].push_back(id);
-  for (const std::string& token : TokenizeLabel(label)) {
-    token_postings_[token].push_back(id);
-  }
-}
-
-void InvertedLabelIndex::InvalidateLabel(std::string_view label,
-                                         const Thesaurus* thesaurus) const {
-  if (!semantic_cache_) return;
-  const std::string changed_norm = NormalizeLabel(label);
-  std::vector<std::string> changed_tokens = TokenizeLabel(label);
-  std::sort(changed_tokens.begin(), changed_tokens.end());
-  const uint64_t live_identity =
-      thesaurus == nullptr ? 0 : thesaurus->identity();
-  semantic_cache_->EraseIf([&](const std::string& key) {
-    // Key layout (LookupSemantic): normalized-label '\x1f' identity.
-    // The identity is decimal, so the LAST separator is unambiguous
-    // even if the label itself contains '\x1f'.
-    size_t sep = key.rfind('\x1f');
-    if (sep == std::string::npos) return true;  // Unparseable: drop.
-    std::string_view lookup_norm(key.data(), sep);
-    if (lookup_norm == changed_norm) return true;
-    // The AND-fallback fires when every token of the lookup label
-    // occurs in the changed label.
-    std::vector<std::string> lookup_tokens = TokenizeLabel(lookup_norm);
-    if (!lookup_tokens.empty()) {
-      bool contained = true;
-      for (const std::string& t : lookup_tokens) {
-        if (!std::binary_search(changed_tokens.begin(), changed_tokens.end(),
-                                t)) {
-          contained = false;
-          break;
-        }
-      }
-      if (contained) return true;
-    }
-    uint64_t entry_identity = 0;
-    for (size_t i = sep + 1; i < key.size(); ++i) {
-      entry_identity = entry_identity * 10 + (key[i] - '0');
-    }
-    if (entry_identity == 0) return false;  // Cached without a thesaurus.
-    if (thesaurus == nullptr || entry_identity != live_identity) {
-      // Memoized under a vocabulary we cannot interrogate: drop it
-      // rather than guess at its expansion.
-      return true;
-    }
-    return thesaurus->AreRelated(lookup_norm, label);
-  });
-}
-
-void InvertedLabelIndex::ConfigureCache(size_t entries, size_t shards) const {
-  if (entries == 0) {
-    semantic_cache_.reset();
-    return;
-  }
-  semantic_cache_ =
-      std::make_unique<ShardedLruCache<std::string, std::vector<uint64_t>>>(
-          entries, shards);
-}
-
-void InvertedLabelIndex::DropLookupCache() const {
-  if (semantic_cache_) semantic_cache_->Clear();
-}
-
-CacheCounters InvertedLabelIndex::cache_counters() const {
-  return semantic_cache_ ? semantic_cache_->counters() : CacheCounters{};
-}
-
-uint64_t InvertedLabelIndex::cache_lock_skips() const {
-  return semantic_cache_ ? semantic_cache_->lru_lock_skips() : 0;
 }
 
 void InvertedLabelIndex::SortDedup(std::vector<uint64_t>* v) {
@@ -164,20 +87,8 @@ std::vector<uint64_t> InvertedLabelIndex::LookupTokens(
 }
 
 std::vector<uint64_t> InvertedLabelIndex::LookupSemantic(
-    std::string_view label, const Thesaurus* thesaurus,
-    CacheCounters* stats) const {
+    std::string_view label, const Thesaurus* thesaurus) const {
   std::string normalized = NormalizeLabel(label);
-  // Memo key: normalized label + thesaurus content identity, so a
-  // mutated or different thesaurus never aliases a cached list.
-  std::string cache_key;
-  if (semantic_cache_) {
-    cache_key = normalized;
-    cache_key.push_back('\x1f');
-    cache_key +=
-        std::to_string(thesaurus == nullptr ? 0 : thesaurus->identity());
-    std::vector<uint64_t> cached;
-    if (semantic_cache_->Get(cache_key, &cached, stats)) return cached;
-  }
   std::vector<uint64_t> out;
   for (Cursor c = LookupExact(label); !c.Done(); c.Next()) {
     out.push_back(c.Value());
@@ -195,7 +106,6 @@ std::vector<uint64_t> InvertedLabelIndex::LookupSemantic(
   } else {
     SortDedup(&out);
   }
-  if (semantic_cache_) semantic_cache_->Put(cache_key, out, stats);
   return out;
 }
 
@@ -257,7 +167,6 @@ void InvertedLabelIndex::Serialize(std::vector<uint8_t>* out) const {
 
 bool InvertedLabelIndex::Deserialize(const std::vector<uint8_t>& buf,
                                      size_t* pos) {
-  DropLookupCache();  // Contents are about to be replaced wholesale.
   if (!DeserializePostingsMap(buf, pos, &exact_postings_)) return false;
   if (!DeserializePostingsMap(buf, pos, &token_postings_)) return false;
   finished_ = true;  // Serialized images are always Finish()ed.

@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/sharded_cache.h"
 #include "text/thesaurus.h"
 #include "text/tokenizer.h"
 
@@ -51,23 +49,6 @@ class InvertedLabelIndex {
   // postings to stay sorted; Finish() sorts and dedups regardless.
   void Add(std::string_view label, uint64_t id);
 
-  // Add() for the live-update path: instead of dropping the whole
-  // semantic-lookup memo, erases only the entries `label` could have
-  // contributed to (see InvalidateLabel). `thesaurus` is the vocabulary
-  // live queries run with; entries memoized under a different thesaurus
-  // identity are dropped conservatively.
-  void AddPrecise(std::string_view label, uint64_t id,
-                  const Thesaurus* thesaurus);
-
-  // Precisely invalidates memoized LookupSemantic results that an
-  // element labelled `label` could appear in (or vanish from): entries
-  // whose lookup label normalizes equal, whose tokens are all contained
-  // in `label`'s tokens (the AND-fallback), or that are thesaurus-
-  // related to `label`. A sound superset of LookupSemantic's match
-  // semantics — unrelated memo entries survive the update.
-  void InvalidateLabel(std::string_view label,
-                       const Thesaurus* thesaurus) const;
-
   // Sorts and dedups every postings list. Idempotent; called once after
   // the build loop.
   void Finish();
@@ -80,31 +61,14 @@ class InvertedLabelIndex {
 
   // LookupExact unioned over the thesaurus expansion of `label`; falls
   // back to token AND-matching when no exact postings exist. This is
-  // the semantic lookup the clustering step uses. `stats` (optional)
-  // receives this call's memo traffic — the per-query attribution sink.
+  // the semantic lookup the clustering step uses (through PathIndex,
+  // whose candidate-list memo sits in front of it).
   std::vector<uint64_t> LookupSemantic(std::string_view label,
-                                       const Thesaurus* thesaurus,
-                                       CacheCounters* stats = nullptr) const;
+                                       const Thesaurus* thesaurus) const;
 
   size_t distinct_tokens() const { return token_postings_.size(); }
   size_t distinct_labels() const { return exact_postings_.size(); }
   uint64_t MemoryBytes() const;
-
-  // Enables (entries > 0) or disables (entries == 0) the memo over
-  // LookupSemantic's merged result lists. Purely an optimisation: hot
-  // query labels skip the expand + union + dedup work. Entries are
-  // keyed on (normalized label, thesaurus identity), so a mutated or
-  // swapped thesaurus can never be served stale postings; any Add() or
-  // Deserialize() drops the memo outright. Const because lookups are
-  // const; the cache itself is thread-safe.
-  void ConfigureCache(size_t entries, size_t shards = 8) const;
-  // Drops memoized lookups (index rebuilds; also internal on mutation).
-  void DropLookupCache() const;
-  // Lifetime hit/miss totals of the semantic-lookup memo.
-  CacheCounters cache_counters() const;
-  // Memo hits that skipped the LRU touch under write contention
-  // (ShardedLruCache::lru_lock_skips).
-  uint64_t cache_lock_skips() const;
 
   // Appends a compact binary image (sorted keys, delta-coded postings)
   // to `out`. The index must be Finish()ed first.
@@ -119,10 +83,6 @@ class InvertedLabelIndex {
   std::unordered_map<std::string, std::vector<uint64_t>> token_postings_;
   std::unordered_map<std::string, std::vector<uint64_t>> exact_postings_;
   bool finished_ = false;
-  // Memoized LookupSemantic results; see ConfigureCache. Null when
-  // disabled.
-  mutable std::unique_ptr<ShardedLruCache<std::string, std::vector<uint64_t>>>
-      semantic_cache_;
 };
 
 }  // namespace sama

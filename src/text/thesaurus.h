@@ -58,9 +58,9 @@ class Thesaurus {
 
   // A process-unique token for the current CONTENT of this thesaurus:
   // every mutation (AddSynonyms/AddHypernym/Load*) assigns a fresh
-  // value. Query-side caches (inverted-index postings, path-index
-  // lookups, the alignment memo) fold it into their keys so entries
-  // computed under one vocabulary are never served under another.
+  // value. Query-side caches (path-index lookups, the alignment memo)
+  // fold it into their keys so entries computed under one vocabulary
+  // are never served under another.
   uint64_t identity() const { return identity_; }
 
   // Hit/miss totals of the internal AreRelated memo (QueryStats).

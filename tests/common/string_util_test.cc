@@ -22,6 +22,19 @@ TEST(StringUtilTest, SplitString) {
   EXPECT_EQ(SplitString("", ',').size(), 1u);
 }
 
+TEST(StringUtilTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("plain text"), "plain text");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("1\n2\t3\r4"), "1\\n2\\t3\\r4");
+  // Other control bytes become \u00XX; bytes >= 0x20 pass through,
+  // UTF-8 included.
+  EXPECT_EQ(JsonEscape(std::string("x\x01y\x1f", 4)), "x\\u0001y\\u001f");
+  EXPECT_EQ(JsonEscape(std::string("\0", 1)), "\\u0000");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 ~"), "caf\xc3\xa9 ~");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 TEST(StringUtilTest, JoinStrings) {
   EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(JoinStrings({}, ","), "");

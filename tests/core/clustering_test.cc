@@ -149,13 +149,11 @@ TEST_F(ClusteringTest, VariableSinkFallsBackToLastConstant) {
 
 TEST_F(ClusteringTest, ParallelClusteringMatchesSequential) {
   query_ = env_.Query1();
-  ClusteringOptions sequential;
-  ClusteringOptions parallel;
-  parallel.num_threads = 4;
+  ThreadPool pool(3);
   auto a = BuildClusters(query_, env_.index(), &env_.thesaurus(),
-                         ScoreParams(), sequential);
+                         ScoreParams(), ClusteringOptions());
   auto b = BuildClusters(query_, env_.index(), &env_.thesaurus(),
-                         ScoreParams(), parallel);
+                         ScoreParams(), ClusteringOptions(), &pool);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());

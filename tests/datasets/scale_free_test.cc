@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "graph/data_graph.h"
 
@@ -67,6 +68,10 @@ struct ProfileCase {
   ScaleFreeProfile (*make)(double);
   double paper_triples;
 };
+
+// gtest puts the printed parameter into the listed test name; the default
+// byte dump would show the `name` pointer, which moves with every load.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
 
 class ProfileTest : public testing::TestWithParam<ProfileCase> {};
 

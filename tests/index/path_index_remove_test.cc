@@ -176,7 +176,7 @@ TEST_F(PathIndexRemoveTest, QueriesReflectDeletes) {
 }
 
 TEST_F(PathIndexRemoveTest, SinkLookupCacheStaysPreciseAcrossDeletes) {
-  index_.ConfigureQueryCache(IndexCacheConfig());  // Off until enabled.
+  index_.ConfigureQueryCache(true);  // Off until enabled.
   Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
   Term health_care = Term::Literal("Health Care");
   Term male = Term::Literal("Male");

@@ -301,7 +301,7 @@ TEST(EngineObsTest, MetricsOffStillFillsQueryStats) {
 TEST(EngineObsTest, TruncatedPropagatesAtSingleThread) {
   EngineOptions options;
   options.num_threads = 1;
-  options.strict_io = false;  // The degraded read policy, explicitly.
+  options.clustering.strict_io = false;  // The degraded read policy.
   options.search.max_expansions = 1;
   ObsEnv env(options);
   QueryStats stats;
@@ -415,25 +415,25 @@ TEST(EngineObsTest, ProfileAttachedWithPhaseTreeAndCounters) {
 TEST(EngineObsTest, ProfileLogRetainsRecentQueriesWithMonotonicIds) {
   EngineOptions options;
   options.obs.profile = true;
-  options.obs.profile_capacity = 2;
   ObsEnv env(options);
   ASSERT_NE(env.engine->profile_log(), nullptr);
 
-  QueryStats s1, s2, s3;
-  ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &s1).ok());
-  ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &s2).ok());
-  ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &s3).ok());
-  EXPECT_EQ(s1.profile->id(), 1u);
-  EXPECT_EQ(s2.profile->id(), 2u);
-  EXPECT_EQ(s3.profile->id(), 3u);
+  // One query more than the ring holds.
+  const size_t n = SamaEngine::kProfileCapacity + 1;
+  std::vector<QueryStats> stats(n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &stats[i]).ok());
+    EXPECT_EQ(stats[i].profile->id(), i + 1);
+  }
 
   const ProfileLog* log = env.engine->profile_log();
-  EXPECT_EQ(log->latest_id(), 3u);
-  EXPECT_EQ(log->Get(1), nullptr);  // Evicted at capacity 2...
-  ASSERT_NE(log->Get(3), nullptr);
-  EXPECT_EQ(log->Get(3).get(), s3.profile.get());  // ...shared, not copied.
+  EXPECT_EQ(log->latest_id(), n);
+  EXPECT_EQ(log->Get(1), nullptr);  // Evicted at capacity...
+  EXPECT_NE(log->Get(2), nullptr);
+  ASSERT_NE(log->Get(n), nullptr);
+  EXPECT_EQ(log->Get(n).get(), stats[n - 1].profile.get());  // ...shared.
   // The caller's shared_ptr outlives eviction.
-  EXPECT_EQ(s1.profile->summary().num_answers, s1.num_answers);
+  EXPECT_EQ(stats[0].profile->summary().num_answers, stats[0].num_answers);
 }
 
 TEST(EngineObsTest, NoProfileByDefault) {

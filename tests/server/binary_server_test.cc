@@ -432,16 +432,18 @@ TEST(BinaryServerTest, MetricsExportedThroughPrivateRegistry) {
 TEST(BinaryServerTest, TraceSpansRecordedPerRequest) {
   BinaryQueryServer::Options options;
   options.trace_requests = true;
-  options.trace_capacity = 4;
   ServerFixture fx(options);
   BinaryClient client = fx.Connect();
   QueryRequest request;
   request.sparql = kQuerySparql;
   ASSERT_TRUE(client.Query(request).ok());
 
-  auto traces = fx.server->request_traces();
-  ASSERT_EQ(traces.size(), 1u);
-  std::vector<TraceSpan> spans = traces[0]->Snapshot();
+  // The server minted one trace id for the request.
+  std::vector<std::string> ids = fx.server->trace_store().Ids();
+  ASSERT_EQ(ids.size(), 1u);
+  std::shared_ptr<QueryTrace> trace = fx.server->trace_store().Find(ids[0]);
+  ASSERT_NE(trace, nullptr);
+  std::vector<TraceSpan> spans = trace->Snapshot();
   std::vector<std::string> names;
   for (const auto& span : spans) names.push_back(span.name);
   EXPECT_NE(std::find(names.begin(), names.end(), "request"), names.end());

@@ -31,11 +31,11 @@ using testing_util::GovTrackEnv;
 // is well-formed, never an error.
 TEST(DeadlineTest, ExpiredDeadlineTruncatesDeterministically) {
   GovTrackEnv env;
-  SamaEngine engine = env.engine();
-  engine.mutable_options().search.deadline =
+  QueryContext ctx;
+  ctx.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   QueryStats stats;
-  auto answers = engine.Execute(env.Query1(), 10, &stats);
+  auto answers = env.engine().Execute(env.Query1(), 10, &stats, ctx);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_TRUE(stats.search_truncated);
 }
@@ -54,11 +54,10 @@ TEST(DeadlineTest, FarFutureDeadlineLeavesAnswersIdentical) {
   auto baseline = env.engine().Execute(env.Query1(), 10);
   ASSERT_TRUE(baseline.ok());
 
-  SamaEngine engine = env.engine();
-  engine.mutable_options().search.deadline =
-      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  QueryContext ctx;
+  ctx.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
   QueryStats stats;
-  auto answers = engine.Execute(env.Query1(), 10, &stats);
+  auto answers = env.engine().Execute(env.Query1(), 10, &stats, ctx);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_FALSE(stats.search_truncated);
 

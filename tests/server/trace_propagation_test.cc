@@ -17,6 +17,7 @@
 #include "datasets/govtrack.h"
 #include "index/path_index.h"
 #include "obs/metrics.h"
+#include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "server/binary_server.h"
@@ -143,6 +144,65 @@ TEST(TracePropagationTest, UntracedRequestsLeaveTheStoreEmpty) {
   ASSERT_EQ(result->status, WireStatus::kOk);
   EXPECT_EQ(server.trace_store().size(), 0u);
   server.Stop();
+}
+
+// A served query's slow-query record is joinable to its client: the
+// server hands its request id and the propagated trace id to the engine
+// with the query, and the engine's "query" span lands under the
+// server's "execute" span.
+TEST(TracePropagationTest, SlowQueryRecordCarriesRequestAndTraceIds) {
+  DataGraph graph = DataGraph::FromTriples(GovTrackFigure1Triples());
+  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
+  PathIndex index;
+  ASSERT_TRUE(index.Build(graph, {}).ok());
+  EngineOptions engine_options;
+  engine_options.obs.metrics = false;
+  engine_options.obs.slow_query_millis = 1e-9;  // Record every query.
+  SamaEngine engine(&graph, &index, &thesaurus, engine_options);
+  ASSERT_NE(engine.slow_query_log(), nullptr);
+
+  MetricsRegistry registry;
+  BinaryQueryServer::Options options;
+  options.port = 0;
+  options.registry = &registry;
+  BinaryQueryServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TraceContext ctx;
+  ASSERT_TRUE(TraceContext::ParseTraceId("5eed1e55", &ctx));
+  BinaryClient client;
+  client.set_trace(ctx);
+  ASSERT_TRUE(client.Connect(server.host(), server.port()).ok());
+  QueryRequest query;
+  query.sparql = kMaleSparql;
+  query.k = 10;
+  constexpr uint64_t kRequestId = 4242;
+  auto result = client.Query(query, kRequestId);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->status, WireStatus::kOk);
+  server.Stop();
+
+  std::vector<SlowQueryRecord> records = engine.slow_query_log()->Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].request_id, kRequestId);
+  EXPECT_EQ(records[0].trace_id, ctx.TraceIdHex());
+
+  std::shared_ptr<QueryTrace> trace =
+      server.trace_store().Find(ctx.TraceIdHex());
+  ASSERT_NE(trace, nullptr);
+  uint64_t execute = 0;
+  uint64_t query_parent = 0;
+  size_t query_spans = 0;
+  for (const TraceSpan& s : trace->Snapshot()) {
+    if (s.name == "execute") execute = s.id;
+    if (s.name == "query") {
+      query_parent = s.parent;
+      ++query_spans;
+    }
+  }
+  ASSERT_NE(execute, 0u);
+  EXPECT_EQ(query_spans, 1u);
+  EXPECT_EQ(query_parent, execute);
 }
 
 TEST(TracePropagationTest, ShardedServeTracesPerShardAndRefusesUpdates) {

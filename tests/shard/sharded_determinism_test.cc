@@ -44,14 +44,6 @@ std::vector<size_t> Budgets() {
   return {200000, ForestSearchOptions().max_expansions};
 }
 
-// `engine` with its search budget set to `budget`: the per-request copy
-// the server makes.
-SamaEngine WithBudget(const SamaEngine& engine, size_t budget) {
-  SamaEngine copy = engine;
-  copy.mutable_options().search.max_expansions = budget;
-  return copy;
-}
-
 // Same lossless signature as the parallel-determinism suite: %.17g
 // scores, (query path slot, data path id) parts in answer order. The
 // sharded engine reports GLOBAL path ids, so the ids must match the
@@ -95,9 +87,13 @@ void RemoveTree(const std::string& base) {
 
 // One dataset: the single-index serial reference plus one
 // ShardedEngine per (shard count × thread count), all over one shared
-// graph/dictionary/thesaurus.
+// graph/dictionary/thesaurus. Engines are constructed per expansion
+// budget (WithBudget).
 class Env2 {
  public:
+  // WithBudget's engine number of the single-index serial reference.
+  static constexpr size_t kSerial = static_cast<size_t>(-1);
+
   Env2(const std::string& name, std::vector<Triple> triples)
       : graph_(std::make_unique<DataGraph>(
             DataGraph::FromTriples(std::move(triples)))) {
@@ -105,10 +101,6 @@ class Env2 {
     Status s = single_index_->Build(*graph_, PathIndexOptions());
     EXPECT_TRUE(s.ok()) << s;
     thesaurus_ = Thesaurus::BuiltinEnglish();
-    EngineOptions serial_options;
-    serial_options.num_threads = 1;
-    serial_ = std::make_unique<SamaEngine>(graph_.get(), single_index_.get(),
-                                           &thesaurus_, serial_options);
     for (size_t shards : kShardCounts) {
       std::string dir = testing::TempDir() + "/sdet_" + name + "_" +
                         std::to_string(shards);
@@ -121,16 +113,27 @@ class Env2 {
       Status opened = index->Open(graph_.get(), dir, /*strict=*/true);
       EXPECT_TRUE(opened.ok()) << opened;
       for (size_t threads : kThreadCounts) {
-        EngineOptions options2;
-        options2.num_threads = threads;
-        options2.obs.metrics = false;
-        engines_.push_back(std::make_unique<ShardedEngine>(
-            graph_.get(), index.get(), &thesaurus_, options2));
+        engines_.push_back({index.get(), threads});
         labels_.push_back(std::to_string(shards) + " shards, " +
                           std::to_string(threads) + " threads");
       }
       indexes_.push_back(std::move(index));
     }
+  }
+
+  // Sharded engine `i` (or kSerial) constructed with its search budget
+  // set to `budget`.
+  SamaEngine WithBudget(size_t i, size_t budget) const {
+    EngineOptions options;
+    options.search.max_expansions = budget;
+    if (i == kSerial) {
+      return SamaEngine(graph_.get(), single_index_.get(), &thesaurus_,
+                        options);
+    }
+    options.num_threads = engines_[i].threads;
+    options.obs.metrics = false;
+    return ShardedEngine(graph_.get(), engines_[i].index, &thesaurus_,
+                         options);
   }
 
   QueryGraph Parse(const std::string& sparql) {
@@ -145,16 +148,20 @@ class Env2 {
   // assert that truncation is actually compared.
   void CheckQuery(const std::string& name, const QueryGraph& query) {
     for (size_t budget : Budgets()) {
-      SamaEngine serial = WithBudget(*serial_, budget);
+      SamaEngine serial = WithBudget(kSerial, budget);
+      std::vector<SamaEngine> sharded;
+      for (size_t i = 0; i < engines_.size(); ++i) {
+        sharded.push_back(WithBudget(i, budget));
+      }
       for (size_t k : kTopK) {
         QueryStats serial_stats;
         auto want = serial.Execute(query, k, &serial_stats);
         ASSERT_TRUE(want.ok()) << name << " k=" << k << ": " << want.status();
         if (serial_stats.search_truncated) ++truncated_references_;
         std::string expected = Signature(*want);
-        for (size_t i = 0; i < engines_.size(); ++i) {
+        for (size_t i = 0; i < sharded.size(); ++i) {
           QueryStats stats;
-          auto got = WithBudget(*engines_[i], budget).Execute(query, k, &stats);
+          auto got = sharded[i].Execute(query, k, &stats);
           ASSERT_TRUE(got.ok()) << name << " k=" << k << " (" << labels_[i]
                                 << "): " << got.status();
           EXPECT_EQ(Signature(*got), expected)
@@ -175,12 +182,11 @@ class Env2 {
     auto parsed = ParseSparql(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
     for (size_t budget : Budgets()) {
-      auto want = WithBudget(*serial_, budget).ExecuteSparql(*parsed, 10);
+      auto want = WithBudget(kSerial, budget).ExecuteSparql(*parsed, 10);
       ASSERT_TRUE(want.ok()) << name << ": " << want.status();
       std::string expected = Signature(*want);
       for (size_t i = 0; i < engines_.size(); ++i) {
-        auto got =
-            WithBudget(*engines_[i], budget).ExecuteSparql(*parsed, 10);
+        auto got = WithBudget(i, budget).ExecuteSparql(*parsed, 10);
         ASSERT_TRUE(got.ok()) << name << " (" << labels_[i]
                               << "): " << got.status();
         EXPECT_EQ(Signature(*got), expected)
@@ -191,16 +197,19 @@ class Env2 {
   }
 
   size_t truncated_references() const { return truncated_references_; }
-  SamaEngine& serial() { return *serial_; }
-  ShardedEngine& sharded(size_t i) { return *engines_[i]; }
 
  private:
+  // What a sharded engine runs over.
+  struct ShardedSetup {
+    const ShardedIndex* index = nullptr;
+    size_t threads = 1;
+  };
+
   std::unique_ptr<DataGraph> graph_;
   std::unique_ptr<PathIndex> single_index_;
   Thesaurus thesaurus_;
-  std::unique_ptr<SamaEngine> serial_;
   std::vector<std::unique_ptr<ShardedIndex>> indexes_;
-  std::vector<std::unique_ptr<ShardedEngine>> engines_;
+  std::vector<ShardedSetup> engines_;
   std::vector<std::string> labels_;
   size_t truncated_references_ = 0;
 };
@@ -281,10 +290,11 @@ TEST(ShardedDeterminismTest, NoStateLeaksAcrossQueries) {
   QueryGraph selective = env.Parse(queries[0].sparql);
   QueryGraph broad = env.Parse(queries[6].sparql);
   for (size_t budget : Budgets()) {
-    auto broad_serial = WithBudget(env.serial(), budget).Execute(broad, 20);
+    auto broad_serial =
+        env.WithBudget(Env2::kSerial, budget).Execute(broad, 20);
     ASSERT_TRUE(broad_serial.ok());
     std::string expected = Signature(*broad_serial);
-    SamaEngine sharded = WithBudget(env.sharded(0), budget);
+    SamaEngine sharded = env.WithBudget(0, budget);
     ASSERT_TRUE(sharded.Execute(selective, 1).ok());
     auto broad_after = sharded.Execute(broad, 20);
     ASSERT_TRUE(broad_after.ok());

@@ -343,7 +343,7 @@ TEST_F(TortureTest, DegradedQueryIsDeterministicAndCounted) {
   auto run = [&](size_t threads, bool strict) {
     EngineOptions eo;
     eo.num_threads = threads;
-    eo.strict_io = strict;
+    eo.clustering.strict_io = strict;
     SamaEngine engine(&graph, &index, &thesaurus_, eo);
     QueryStats stats;
     auto answers = engine.Execute(

@@ -21,9 +21,11 @@ surfaces:
   2. `-- slow:` — each slow-query JSONL record parses, carries the
      required keys, and every numeric value is finite.
   3. `-- metrics:` — the Prometheus exposition parses line by line,
-     sama_queries_total counted at least one query, and every
+     sama_queries_total counted at least one query, every
      histogram's cumulative buckets are monotonically non-decreasing
-     and consistent with its _count.
+     and consistent with its _count, and the scrape-time quantile
+     gauges are present once the latency histogram has observations
+     (the same rule as --metrics).
 
 The flag modes validate the profiler/HTTP surfaces:
 
@@ -200,10 +202,9 @@ def check_metrics(lines):
     return values
 
 
-def check_metrics_file(path):
-    with open(path) as f:
-        values = check_metrics(f.read().splitlines())
-    # A /metrics scrape goes through RefreshLatencyQuantiles, so once
+def check_quantiles(values):
+    # /metrics and the --metrics dump both go through
+    # RenderMetricsScrape, which runs RefreshLatencyQuantiles, so once
     # the latency histogram has observations the interpolated quantile
     # gauges must be published alongside it.
     if values.get("sama_query_latency_millis_count", 0) >= 1:
@@ -214,6 +215,12 @@ def check_metrics_file(path):
                      f"is missing (RefreshLatencyQuantiles not run?)")
             if values[key] < 0:
                 fail(f"{key} is negative: {values[key]}")
+
+
+def check_metrics_file(path):
+    with open(path) as f:
+        values = check_metrics(f.read().splitlines())
+    check_quantiles(values)
     return len(values)
 
 
@@ -454,6 +461,7 @@ def check_default(path):
         fail("no '-- metrics:' section in the output (was --metrics "
              "passed?)")
     series = check_metrics(lines[metrics_at + 1:])
+    check_quantiles(series)
 
     print(f"obs ok: {len(trace_lines)} trace(s) with {spans} span(s), "
           f"{len(slow_lines)} slow-query record(s), {len(series)} metric "

@@ -101,9 +101,9 @@
 //   --no-prune         Disable score-bounded forest-search pruning and
 //                      run the exhaustive enumeration (ablation; the
 //                      answers are identical, only slower).
-//   --no-cache         Disable the query-side caches (postings,
-//                      candidate lists, path records, label matches,
-//                      alignment memo). Answers are identical.
+//   --no-cache         Disable the query-side caches (candidate lists,
+//                      path records, label matches, alignment memo).
+//                      Answers are identical.
 //   --stats            Print index and per-query statistics, including
 //                      cache hit rates and the search pruning ratio.
 //   --trace            Record a span trace per query and print it as a
@@ -173,6 +173,7 @@
 #include "core/engine.h"
 #include "obs/exporter.h"
 #include "obs/http_server.h"
+#include "obs/slo.h"
 #include "server/binary_server.h"
 #include "datasets/govtrack.h"
 #include "graph/graph_stats.h"
@@ -517,29 +518,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 sama::Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return sama::Status::IoError("cannot open " + path);
@@ -581,12 +559,9 @@ void RegisterObsEndpoints(sama::ObsHttpServer* server, ObsState state) {
     return r;
   });
   server->Handle("/metrics", [](const sama::HttpRequest&) {
-    sama::MetricsRegistry* reg = sama::MetricsRegistry::Global();
-    sama::RefreshLatencyQuantiles(reg);
-    sama::RefreshEpochMetrics(reg);
     sama::HttpResponse r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = reg->RenderText();
+    r.body = sama::RenderMetricsScrape(sama::MetricsRegistry::Global());
     return r;
   });
   server->Handle("/debug/queries", [state](const sama::HttpRequest& req) {
@@ -701,7 +676,7 @@ void RegisterObsEndpoints(sama::ObsHttpServer* server, ObsState state) {
     if (trace == nullptr) {
       r.status = 404;
       r.body = "{\"error\":\"no such trace\",\"id\":\"" +
-               JsonEscape(it->second) + "\"}\n";
+               sama::JsonEscape(it->second) + "\"}\n";
       return r;
     }
     auto fmt = req.params.find("format");
@@ -961,7 +936,8 @@ int RunBaseline(const CliOptions& options, sama::DataGraph* graph,
 }
 
 int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
-                const sama::SamaEngine* engine, const std::string& sparql) {
+                const sama::SamaEngine* engine, const std::string& sparql,
+                const sama::QueryContext& ctx) {
   auto query = sama::ParseSparql(sparql);
   if (!query.ok()) {
     std::fprintf(stderr, "query parse error: %s\n",
@@ -972,7 +948,7 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
     return RunBaseline(options, graph, *query);
   }
   sama::QueryStats stats;
-  auto answers = engine->ExecuteSparql(*query, options.k, &stats);
+  auto answers = engine->ExecuteSparql(*query, options.k, &stats, ctx);
   if (!answers.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  answers.status().ToString().c_str());
@@ -1026,7 +1002,6 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
       std::printf("-- cache %-12s %s\n", name,
                   counters.ToString().c_str());
     };
-    print_cache("postings:", stats.posting_cache);
     print_cache("lookups:", stats.path_lookup_cache);
     print_cache("records:", stats.path_record_cache);
     print_cache("labels:", stats.label_match_cache);
@@ -1138,11 +1113,12 @@ int main(int argc, char** argv) {
   if (options.top) return RunTop(options);
 
   // A propagated trace identity (--trace-id) forces tracing on and is
-  // stamped into every trace the run produces, so client-side output
+  // passed with every query the run executes, so client-side output
   // and server-side /debug/trace agree on the id.
-  sama::TraceContext trace_ctx;
+  sama::QueryContext query_ctx;
   if (!options.trace_id.empty()) {
-    if (!sama::TraceContext::ParseTraceId(options.trace_id, &trace_ctx)) {
+    if (!sama::TraceContext::ParseTraceId(options.trace_id,
+                                          &query_ctx.trace_context)) {
       std::fprintf(stderr,
                    "invalid --trace-id '%s' (want 1..32 hex digits, "
                    "nonzero)\n",
@@ -1293,12 +1269,10 @@ int main(int argc, char** argv) {
   }
   sama::EngineOptions engine_options;
   engine_options.num_threads = options.threads;
-  engine_options.strict_io = options.strict_io;
+  engine_options.clustering.strict_io = options.strict_io;
   engine_options.params.prune_search = options.prune_search;
   engine_options.cache.enabled = options.use_cache;
   engine_options.obs.trace = options.trace;
-  engine_options.obs.trace_context = trace_ctx;
-  engine_options.obs.slo = MakeSloOptions(options);
   engine_options.obs.slow_query_millis = options.slow_query_ms;
   engine_options.obs.slow_query_path = options.slow_query_log_path;
   engine_options.obs.profile =
@@ -1339,9 +1313,9 @@ int main(int argc, char** argv) {
       }
     }
     if (options.metrics) {
-      sama::RefreshEpochMetrics(sama::MetricsRegistry::Global());
-      std::printf("-- metrics:\n%s",
-                  sama::MetricsRegistry::Global()->RenderText().c_str());
+      std::printf(
+          "-- metrics:\n%s",
+          sama::RenderMetricsScrape(sama::MetricsRegistry::Global()).c_str());
     }
   };
 
@@ -1425,7 +1399,9 @@ int main(int argc, char** argv) {
       }
       warmup = *text;
     }
-    if (!warmup.empty()) RunOneQuery(options, &graph, &engine, warmup);
+    if (!warmup.empty()) {
+      RunOneQuery(options, &graph, &engine, warmup, query_ctx);
+    }
 
     if (options.binary) {
       if (options.serve_updates) {
@@ -1456,7 +1432,7 @@ int main(int argc, char** argv) {
       state.profiles = engine.profile_log();
       int rc = RunBinaryServer(options, &server, state,
                                engine.updates_enabled(),
-                               engine.options().obs.slo);
+                               MakeSloOptions(options));
       if (rc != 0) return rc;
       if (engine.updates_enabled()) {
         // Fold the WAL into the index so the next open skips replay.
@@ -1479,8 +1455,9 @@ int main(int argc, char** argv) {
     // the server, so /debug/timeseries and the SLO-aware /healthz work
     // here exactly as they do under `serve --binary --http-port`.
     sama::TimeSeriesRing ring{sama::TimeSeriesRing::Options()};
-    sama::SloTracker slo(engine.options().obs.slo, &ring);
-    if (engine.options().obs.slo.enabled) {
+    const sama::SloOptions slo_options = MakeSloOptions(options);
+    sama::SloTracker slo(slo_options, &ring);
+    if (slo_options.enabled) {
       ring.SetOnSample(
           [&slo](const sama::TimeSeriesRing&) { slo.Evaluate(); });
     }
@@ -1493,10 +1470,11 @@ int main(int argc, char** argv) {
     state.slow = engine.slow_query_log();
     state.profiles = engine.profile_log();
     state.ring = &ring;
-    state.slo = engine.options().obs.slo.enabled ? &slo : nullptr;
+    state.slo = slo_options.enabled ? &slo : nullptr;
     state.window_seconds = options.window_seconds;
     RegisterObsEndpoints(&server, state);
-    server.Handle("/query", [&engine, &options](const sama::HttpRequest& req) {
+    server.Handle("/query", [&engine, &options,
+                             query_ctx](const sama::HttpRequest& req) {
       sama::HttpResponse r;
       r.content_type = "application/json";
       if (req.method != "POST") {
@@ -1507,15 +1485,15 @@ int main(int argc, char** argv) {
       auto query = sama::ParseSparql(req.body);
       if (!query.ok()) {
         r.status = 400;
-        r.body = "{\"error\":\"" + JsonEscape(query.status().ToString()) +
+        r.body = "{\"error\":\"" + sama::JsonEscape(query.status().ToString()) +
                  "\"}\n";
         return r;
       }
       sama::QueryStats stats;
-      auto answers = engine.ExecuteSparql(*query, options.k, &stats);
+      auto answers = engine.ExecuteSparql(*query, options.k, &stats, query_ctx);
       if (!answers.ok()) {
         r.status = 500;
-        r.body = "{\"error\":\"" + JsonEscape(answers.status().ToString()) +
+        r.body = "{\"error\":\"" + sama::JsonEscape(answers.status().ToString()) +
                  "\"}\n";
         return r;
       }
@@ -1532,8 +1510,8 @@ int main(int argc, char** argv) {
           const std::string& var = query->select_vars[v];
           const sama::Term* bound = a.binding.Lookup(var);
           if (v) r.body += ",";
-          r.body += "\"" + JsonEscape(var) + "\":\"" +
-                    JsonEscape(bound != nullptr ? bound->ToString()
+          r.body += "\"" + sama::JsonEscape(var) + "\":\"" +
+                    sama::JsonEscape(bound != nullptr ? bound->ToString()
                                                 : "") +
                     "\"";
         }
@@ -1574,10 +1552,12 @@ int main(int argc, char** argv) {
         continue;
       }
       if (buffer.empty()) continue;
-      RunOneQuery(options, &graph, &engine, buffer);
+      RunOneQuery(options, &graph, &engine, buffer, query_ctx);
       buffer.clear();
     }
-    if (!buffer.empty()) RunOneQuery(options, &graph, &engine, buffer);
+    if (!buffer.empty()) {
+      RunOneQuery(options, &graph, &engine, buffer, query_ctx);
+    }
     dump_obs();
     return 0;
   }
@@ -1591,7 +1571,7 @@ int main(int argc, char** argv) {
     }
     sparql = *text;
   }
-  int rc = RunOneQuery(options, &graph, &engine, sparql);
+  int rc = RunOneQuery(options, &graph, &engine, sparql, query_ctx);
   dump_obs();
   return rc;
 }
