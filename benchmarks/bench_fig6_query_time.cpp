@@ -30,7 +30,8 @@ constexpr int kRuns = 5;
 using sama::bench::LubmEnv;
 
 // Per-query measurements feeding the table, the per-phase breakdown
-// and the --json artifact (tools/check_bench_regression.py).
+// and the --json artifact, which tools/check_bench_regression.py gates
+// against benchmarks/BENCH_pr5_baseline.json.
 struct QueryRow {
   std::string name;
   double cold_ms = 0;
@@ -386,14 +387,5 @@ int main(int argc, char** argv) {
                                       : threads,
               env.graph->edge_count(), max_expansions, rows);
   }
-
-  std::printf(
-      "Shape check vs the paper's Figure 6: among the approximate systems\n"
-      "Sama stays in low single-digit ms while Sapper degrades by orders of\n"
-      "magnitude on match-heavy queries (Q5, Q8, Q9, Q11). The exact\n"
-      "in-memory matchers (Dogma, and Bounded's pruned search) terminate\n"
-      "almost instantly at this scale — often because relaxed queries give\n"
-      "them nothing to enumerate; see EXPERIMENTS.md for the scale\n"
-      "discussion.\n");
   return 0;
 }

@@ -228,9 +228,7 @@ BENCHMARK(BM_QueryMemoized);
 
 // The observability overhead guard: the memoized hot path with every
 // obs feature off. DESIGN.md budgets < 5% against BM_QueryMemoized
-// (which runs with the default obs.metrics = true), and this variant
-// pairs with BENCH_pr3_baseline.json, captured before the obs layer
-// existed.
+// (which runs with the default obs.metrics = true).
 void BM_QueryMemoizedNoObs(benchmark::State& state) {
   QueryEnv& env = GlobalQueryEnv();
   EngineOptions options;

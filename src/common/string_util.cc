@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -97,6 +98,16 @@ std::string JsonEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  *out += buf;
 }
 
 std::string HumanMillis(double millis) {

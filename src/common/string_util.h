@@ -28,6 +28,10 @@ std::string ToLowerAscii(std::string_view s);
 // \u00XX, and every other byte (UTF-8 included) passes through.
 std::string JsonEscape(std::string_view s);
 
+// Appends `v` to `out` as a JSON number ("%.6g"), or as null when `v` is
+// NaN or infinite, which JSON cannot represent.
+void AppendJsonNumber(std::string* out, double v);
+
 // Formats a byte count as "12.3 MB" style text (for Table 1 reporting).
 std::string HumanBytes(uint64_t bytes);
 

@@ -77,14 +77,6 @@ Status CommitBuild(const std::string& dir, const std::string& stage_dir,
   return Status::Ok();
 }
 
-std::vector<uint64_t> Merge(std::vector<uint64_t> a,
-                            const std::vector<uint64_t>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  return a;
-}
-
 }  // namespace
 
 Status PathIndex::Build(const DataGraph& graph,
@@ -647,18 +639,16 @@ std::vector<PathId> PathIndex::PathsWithSinkMatching(
     IndexCacheCounters* stats) const {
   std::string key;
   CacheCounters* lookup_stats = stats ? &stats->lookups : nullptr;
-  TermId exact = graph_->dict().Find(term);
   if (lookup_cache_) {
-    key = LookupKey('s', term, exact, thesaurus);
+    key = LookupKey('s', term, graph_->dict().Find(term), thesaurus);
     std::vector<PathId> cached;
     if (lookup_cache_->Get(key, &cached, lookup_stats)) return cached;
   }
-  std::vector<uint64_t> semantic =
-      sink_index_.LookupSemantic(term.DisplayLabel(), thesaurus);
-  if (exact != kInvalidTermId) {
-    semantic = Merge(std::move(semantic), PathsWithSinkLabel(exact));
-  }
-  std::vector<PathId> out = FilterDeleted(std::move(semantic));
+  // IndexOnePath files every path in sink_index_ under its sink's
+  // label, so the exact postings LookupSemantic returns hold every path
+  // of by_sink_ for that label.
+  std::vector<PathId> out = FilterDeleted(
+      sink_index_.LookupSemantic(term.DisplayLabel(), thesaurus));
   if (lookup_cache_) lookup_cache_->Put(key, out, lookup_stats);
   return out;
 }

@@ -1,22 +1,10 @@
 #include "obs/slo.h"
 
 #include <cmath>
-#include <cstdio>
+
+#include "common/string_util.h"
 
 namespace sama {
-namespace {
-
-void AppendNumber(std::string* out, double v) {
-  if (std::isnan(v)) {
-    *out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-}  // namespace
 
 SloTracker::SloTracker(SloOptions options, const TimeSeriesRing* ring,
                        MetricsRegistry* registry)
@@ -84,25 +72,25 @@ std::string SloTracker::RenderJson() const {
   out += "\",\"evaluated\":";
   out += h.evaluated ? "true" : "false";
   out += ",\"window_seconds\":";
-  AppendNumber(&out, h.window_seconds);
+  AppendJsonNumber(&out, h.window_seconds);
   out += ",\"burn_threshold\":";
-  AppendNumber(&out, options_.burn_threshold);
+  AppendJsonNumber(&out, options_.burn_threshold);
   out += ",\"objectives\":{\"latency\":{\"threshold_ms\":";
-  AppendNumber(&out, options_.latency_millis);
+  AppendJsonNumber(&out, options_.latency_millis);
   out += ",\"allowed_bad_ratio\":";
-  AppendNumber(&out, options_.latency_bad_ratio);
+  AppendJsonNumber(&out, options_.latency_bad_ratio);
   out += ",\"p99_ms\":";
-  AppendNumber(&out, h.latency_p99_millis);
+  AppendJsonNumber(&out, h.latency_p99_millis);
   out += ",\"burn_rate\":";
-  AppendNumber(&out, h.latency_burn);
+  AppendJsonNumber(&out, h.latency_burn);
   out += "},\"errors\":{\"allowed_bad_ratio\":";
-  AppendNumber(&out, options_.error_ratio);
+  AppendJsonNumber(&out, options_.error_ratio);
   out += ",\"burn_rate\":";
-  AppendNumber(&out, h.error_burn);
+  AppendJsonNumber(&out, h.error_burn);
   out += "},\"shed\":{\"allowed_bad_ratio\":";
-  AppendNumber(&out, options_.shed_ratio);
+  AppendJsonNumber(&out, options_.shed_ratio);
   out += ",\"burn_rate\":";
-  AppendNumber(&out, h.shed_burn);
+  AppendJsonNumber(&out, h.shed_burn);
   out += "}},\"violations\":[";
   for (size_t i = 0; i < h.violations.size(); ++i) {
     if (i) out.push_back(',');

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
+
+#include "common/string_util.h"
 
 namespace sama {
 namespace {
@@ -12,25 +13,6 @@ double WallSecondsNow() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (std::isnan(v)) {
-    *out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-void AppendQuoted(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 const MetricSample* FindSample(const std::vector<MetricSample>& samples,
@@ -201,16 +183,16 @@ std::vector<std::string> TimeSeriesRing::MetricKeys() const {
 
 std::string TimeSeriesRing::RenderIndexJson() const {
   std::string out = "{\"interval_seconds\":";
-  AppendNumber(&out, options_.interval_seconds);
+  AppendJsonNumber(&out, options_.interval_seconds);
   out += ",\"capacity\":";
-  AppendNumber(&out, static_cast<double>(options_.capacity));
+  AppendJsonNumber(&out, static_cast<double>(options_.capacity));
   out += ",\"samples\":";
-  AppendNumber(&out, static_cast<double>(num_samples()));
+  AppendJsonNumber(&out, static_cast<double>(num_samples()));
   out += ",\"metrics\":[";
   std::vector<std::string> keys = MetricKeys();
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i) out.push_back(',');
-    AppendQuoted(&out, keys[i]);
+    out += '"' + JsonEscape(keys[i]) + '"';
   }
   out += "]}";
   return out;
@@ -233,12 +215,12 @@ std::string TimeSeriesRing::RenderJson(std::string_view metric,
   }
   if (points.empty()) {
     std::string out = "{\"error\":\"unknown metric\",\"metric\":";
-    AppendQuoted(&out, metric);
+    out += '"' + JsonEscape(metric) + '"';
     out += ",\"metrics\":[";
     std::vector<std::string> keys = MetricKeys();
     for (size_t i = 0; i < keys.size(); ++i) {
       if (i) out.push_back(',');
-      AppendQuoted(&out, keys[i]);
+      out += '"' + JsonEscape(keys[i]) + '"';
     }
     out += "]}";
     return out;
@@ -246,15 +228,15 @@ std::string TimeSeriesRing::RenderJson(std::string_view metric,
 
   const MetricKind kind = points.back().sample->kind;
   std::string out = "{\"metric\":";
-  AppendQuoted(&out, metric);
+  out += '"' + JsonEscape(metric) + '"';
   out += ",\"kind\":";
-  AppendQuoted(&out, kind == MetricKind::kCounter   ? "counter"
-                     : kind == MetricKind::kGauge   ? "gauge"
-                                                    : "histogram");
+  out += kind == MetricKind::kCounter ? "\"counter\""
+         : kind == MetricKind::kGauge ? "\"gauge\""
+                                      : "\"histogram\"";
   out += ",\"window_seconds\":";
-  AppendNumber(&out, window_seconds);
+  AppendJsonNumber(&out, window_seconds);
   out += ",\"samples\":";
-  AppendNumber(&out, static_cast<double>(points.size()));
+  AppendJsonNumber(&out, static_cast<double>(points.size()));
 
   const double span =
       points.size() > 1 ? points.back().steady - points.front().steady : 0.0;
@@ -276,15 +258,16 @@ std::string TimeSeriesRing::RenderJson(std::string_view metric,
       count_delta = last->count;
     }
     out += ",\"rate_per_sec\":";
-    AppendNumber(&out, span > 0 ? static_cast<double>(count_delta) / span : 0.0);
+    AppendJsonNumber(&out,
+                     span > 0 ? static_cast<double>(count_delta) / span : 0.0);
     out += ",\"count\":";
-    AppendNumber(&out, static_cast<double>(count_delta));
+    AppendJsonNumber(&out, static_cast<double>(count_delta));
     out += ",\"p50\":";
-    AppendNumber(&out, DeltaQuantile(last->bounds, deltas, 0.50));
+    AppendJsonNumber(&out, DeltaQuantile(last->bounds, deltas, 0.50));
     out += ",\"p90\":";
-    AppendNumber(&out, DeltaQuantile(last->bounds, deltas, 0.90));
+    AppendJsonNumber(&out, DeltaQuantile(last->bounds, deltas, 0.90));
     out += ",\"p99\":";
-    AppendNumber(&out, DeltaQuantile(last->bounds, deltas, 0.99));
+    AppendJsonNumber(&out, DeltaQuantile(last->bounds, deltas, 0.99));
     out += "}";
     return out;
   }
@@ -296,20 +279,20 @@ std::string TimeSeriesRing::RenderJson(std::string_view metric,
       if (d > 0) increase += d;  // A reset clamps to 0, never negative.
     }
     out += ",\"rate_per_sec\":";
-    AppendNumber(&out, span > 0 ? increase / span : 0.0);
+    AppendJsonNumber(&out, span > 0 ? increase / span : 0.0);
     out += ",\"increase\":";
-    AppendNumber(&out, increase);
+    AppendJsonNumber(&out, increase);
   } else {
     out += ",\"last\":";
-    AppendNumber(&out, points.back().sample->value);
+    AppendJsonNumber(&out, points.back().sample->value);
   }
   out += ",\"points\":[";
   for (size_t i = 0; i < points.size(); ++i) {
     if (i) out.push_back(',');
     out += "{\"t\":";
-    AppendNumber(&out, points[i].wall);
+    AppendJsonNumber(&out, points[i].wall);
     out += ",\"v\":";
-    AppendNumber(&out, points[i].sample->value);
+    AppendJsonNumber(&out, points[i].sample->value);
     out += "}";
   }
   out += "]}";
@@ -411,29 +394,29 @@ TimeSeriesRing::TopSummary TimeSeriesRing::Summarize(
 std::string TimeSeriesRing::RenderTopJson(double window_seconds) const {
   TopSummary top = Summarize(window_seconds);
   std::string out = "{\"window_seconds\":";
-  AppendNumber(&out, top.window_seconds);
+  AppendJsonNumber(&out, top.window_seconds);
   out += ",\"samples\":";
-  AppendNumber(&out, static_cast<double>(top.samples));
+  AppendJsonNumber(&out, static_cast<double>(top.samples));
   out += ",\"qps\":";
-  AppendNumber(&out, top.qps);
+  AppendJsonNumber(&out, top.qps);
   out += ",\"p50_ms\":";
-  AppendNumber(&out, top.p50_millis);
+  AppendJsonNumber(&out, top.p50_millis);
   out += ",\"p99_ms\":";
-  AppendNumber(&out, top.p99_millis);
+  AppendJsonNumber(&out, top.p99_millis);
   out += ",\"shed_per_sec\":";
-  AppendNumber(&out, top.shed_per_sec);
+  AppendJsonNumber(&out, top.shed_per_sec);
   out += ",\"error_per_sec\":";
-  AppendNumber(&out, top.error_per_sec);
+  AppendJsonNumber(&out, top.error_per_sec);
   out += ",\"shed_ratio\":";
-  AppendNumber(&out, top.shed_ratio);
+  AppendJsonNumber(&out, top.shed_ratio);
   out += ",\"error_ratio\":";
-  AppendNumber(&out, top.error_ratio);
+  AppendJsonNumber(&out, top.error_ratio);
   out += ",\"cache_hit_ratio\":";
-  AppendNumber(&out, top.cache_hit_ratio);
+  AppendJsonNumber(&out, top.cache_hit_ratio);
   out += ",\"epoch_pins\":";
-  AppendNumber(&out, top.epoch_pins);
+  AppendJsonNumber(&out, top.epoch_pins);
   out += ",\"wal_unsynced_appends\":";
-  AppendNumber(&out, top.wal_unsynced_appends);
+  AppendJsonNumber(&out, top.wal_unsynced_appends);
   out += "}";
   return out;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace sama {
 namespace {
 
@@ -33,6 +36,18 @@ TEST(StringUtilTest, JsonEscape) {
   EXPECT_EQ(JsonEscape(std::string("\0", 1)), "\\u0000");
   EXPECT_EQ(JsonEscape("caf\xc3\xa9 ~"), "caf\xc3\xa9 ~");
   EXPECT_EQ(JsonEscape(""), "");
+}
+
+TEST(StringUtilTest, AppendJsonNumber) {
+  std::string out;
+  AppendJsonNumber(&out, 1.5);
+  out += ',';
+  AppendJsonNumber(&out, std::numeric_limits<double>::quiet_NaN());
+  out += ',';
+  AppendJsonNumber(&out, std::numeric_limits<double>::infinity());
+  out += ',';
+  AppendJsonNumber(&out, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out, "1.5,null,null,null");
 }
 
 TEST(StringUtilTest, JoinStrings) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +111,28 @@ TEST(TimeSeriesRingTest, UnknownMetricListsAlternatives) {
   std::string json = ring.RenderJson("nope", 0);
   EXPECT_NE(json.find("unknown metric"), std::string::npos);
   EXPECT_NE(json.find("test_total"), std::string::npos);
+}
+
+TEST(TimeSeriesRingTest, RenderedJsonEscapesEchoAndNullsNonFinite) {
+  MetricsRegistry registry;
+  registry.GetCounter("test_total", "t");
+  TimeSeriesRing::Options options;
+  options.registry = &registry;
+  TimeSeriesRing ring(options);
+  ring.SampleOnce();
+  // The URL-decoded ?metric= parameter is echoed back: no raw control
+  // byte may reach the JSON string.
+  std::string unknown = ring.RenderJson(std::string("a\nb\x01"), 0);
+  for (char c : unknown) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << unknown;
+  }
+  EXPECT_NE(unknown.find("\"metric\":\"a\\nb\\u0001\""), std::string::npos)
+      << unknown;
+  // ?window=inf parses to +infinity, which JSON cannot carry.
+  std::string known = ring.RenderJson(
+      "test_total", std::numeric_limits<double>::infinity());
+  EXPECT_NE(known.find("\"window_seconds\":null"), std::string::npos)
+      << known;
 }
 
 TEST(TimeSeriesRingTest, TopSummaryComputesServerRollup) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Fails when the current branch does not add at least one line to
 # CHANGES.md relative to the merge base with the target branch
-# (default origin/main), or when any committed bench baseline artifact
-# that check_bench_regression.py gates against is missing or not the
-# JSON shape the gate expects ('summary' + 'queries' keys). Run from
+# (default origin/main), or when the committed bench baseline that
+# check_bench_regression.py gates against is missing or not the JSON
+# shape the gate expects ('summary' + 'queries' keys). Run from
 # anywhere inside the repository.
 #
 # Usage: tools/check_changes_entry.sh [BASE_REF]
@@ -12,23 +12,15 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 base_ref="${1:-origin/main}"
 
-# The committed baselines CI feeds to check_bench_regression.py. A
+# The committed baseline CI feeds to check_bench_regression.py. A
 # missing or malformed one would fail every future PR at the gate step,
 # so catch it at lint time, in the PR that broke it.
-baselines=(
-  benchmarks/BENCH_pr5_baseline.json
-  benchmarks/BENCH_pr6_baseline.json
-  benchmarks/BENCH_pr7_baseline.json
-  benchmarks/BENCH_pr8_baseline.json
-  benchmarks/BENCH_pr9_baseline.json
-  benchmarks/BENCH_pr10_baseline.json
-)
-for artifact in "${baselines[@]}"; do
-  if [ ! -f "$artifact" ]; then
-    echo "check_changes_entry: committed baseline '$artifact' is missing" >&2
-    exit 1
-  fi
-  if ! python3 - "$artifact" <<'EOF'
+artifact=benchmarks/BENCH_pr5_baseline.json
+if [ ! -f "$artifact" ]; then
+  echo "check_changes_entry: committed baseline '$artifact' is missing" >&2
+  exit 1
+fi
+if ! python3 - "$artifact" <<'EOF'
 import json, sys
 path = sys.argv[1]
 def reject(literal):
@@ -39,12 +31,11 @@ for key in ("summary", "queries"):
     if key not in artifact:
         raise SystemExit(f"{path}: missing key '{key}'")
 EOF
-  then
-    echo "check_changes_entry: '$artifact' is not a valid bench baseline" >&2
-    exit 1
-  fi
-done
-echo "check_changes_entry: ${#baselines[@]} bench baseline(s) present and valid"
+then
+  echo "check_changes_entry: '$artifact' is not a valid bench baseline" >&2
+  exit 1
+fi
+echo "check_changes_entry: bench baseline '$artifact' present and valid"
 
 if ! git rev-parse --verify --quiet "$base_ref^{commit}" > /dev/null; then
   # Shallow clone or missing remote: lenient skip rather than a false
