@@ -5,6 +5,7 @@
 //   * cluster construction;
 //   * buffer-pool reads (hit vs miss);
 //   * χ/ψ evaluation;
+//   * the forest-search kernel, in ns per expansion;
 // plus the query hot path in its three cache regimes — cold (pages and
 // query caches dropped), warm (pages resident, query memos dropped) and
 // memoized (everything resident) — isolating what the buffer pool vs
@@ -12,12 +13,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 
 #include "core/alignment.h"
 #include "core/clustering.h"
 #include "core/engine.h"
+#include "core/forest_search.h"
+#include "core/intersection_graph.h"
 #include "core/score.h"
 #include "datasets/govtrack.h"
 #include "datasets/lubm.h"
@@ -128,18 +132,69 @@ void BM_ChiPsi(benchmark::State& state) {
 }
 BENCHMARK(BM_ChiPsi);
 
-void BM_ForestSearchTopK(benchmark::State& state) {
-  DataGraph graph = DataGraph::FromTriples(GovTrackFigure1Triples());
-  PathIndex index;
-  (void)index.Build(graph, PathIndexOptions());
-  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
-  SamaEngine engine(&graph, &index, &thesaurus);
-  QueryGraph query = engine.BuildQueryGraph(GovTrackQuery1Patterns());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(query, 10));
+// The forest-search kernel alone: clusters are built once, outside the
+// timed loop, and ForestSearch runs on 1 thread. Arg 0 is GovTrack Q1
+// (k = 10); arg 1 LUBM-1 Q4 (exact at k = 5, 2,755 expansions); arg 2
+// LUBM-1 Q10 (k = 5, bound by the 50,000-expansion budget). The LUBM
+// cases search with ExecuteSparql's projection dedup. ns_per_expansion
+// is the time per branch-and-bound step.
+struct SearchInput {
+  std::unique_ptr<DataGraph> graph;
+  QueryGraph query;
+  std::vector<Cluster> clusters;
+  ForestSearchOptions options;
+};
+
+SearchInput MakeSearchInput(int which) {
+  SearchInput in;
+  std::vector<Triple> patterns;
+  if (which == 0) {
+    in.graph = std::make_unique<DataGraph>(
+        DataGraph::FromTriples(GovTrackFigure1Triples()));
+    patterns = GovTrackQuery1Patterns();
+    in.options.k = 10;
+  } else {
+    LubmConfig config;
+    config.universities = 1;
+    in.graph = std::make_unique<DataGraph>(
+        DataGraph::FromTriples(GenerateLubm(config)));
+    auto parsed =
+        ParseSparql(MakeLubmQueries()[which == 1 ? 3 : 9].sparql);
+    patterns = parsed->patterns;
+    in.options.dedup_vars = parsed->select_vars;
+    in.options.k = 5;
   }
+  in.query = QueryGraph::FromPatterns(patterns, in.graph->shared_dict());
+  PathIndex index;
+  (void)index.Build(*in.graph, PathIndexOptions());
+  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
+  in.clusters = *BuildClusters(in.query, index, &thesaurus, ScoreParams(), {});
+  return in;
 }
-BENCHMARK(BM_ForestSearchTopK);
+
+void BM_ForestSearchTopK(benchmark::State& state) {
+  SearchInput in = MakeSearchInput(static_cast<int>(state.range(0)));
+  IntersectionQueryGraph ig(in.query);
+  ScoreParams params;
+  uint64_t expansions = 0;
+  double nanos = 0;
+  for (auto _ : state) {
+    ForestSearchStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(ForestSearch(in.query, ig, in.clusters, params,
+                                          in.options, nullptr, nullptr,
+                                          &stats));
+    nanos += std::chrono::duration<double, std::nano>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+    expansions += stats.expansions;
+  }
+  state.counters["expansions"] = benchmark::Counter(
+      static_cast<double>(expansions), benchmark::Counter::kAvgIterations);
+  state.counters["ns_per_expansion"] =
+      expansions == 0 ? 0.0 : nanos / static_cast<double>(expansions);
+}
+BENCHMARK(BM_ForestSearchTopK)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_OptimalVsGreedyAlignment(benchmark::State& state) {
   AlignmentInput in = MakeAlignmentInput(16);

@@ -9,10 +9,13 @@ other harnesses (bench_wal, bench_readers, bench_obs) gate themselves
 through their exit status. The checks:
   1. Warm-path latency: summary.warm_mean_ms must not exceed the
      baseline by more than --tolerance (default 20%).
-  2. Algorithmic speedup: summary.warm_speedup (exhaustive warm mean /
-     optimized warm mean over the exact queries) must not fall below
-     the baseline by more than --tolerance, and never below
-     --min-speedup.
+  2. Pruning work saving: the exhaustive search's expansions over the
+     pruned search's, summed over the exact queries (those whose pruned
+     search was not truncated), must not fall below the baseline's
+     ratio by more than --tolerance, and never below --min-speedup.
+     Expansions are deterministic, so this reads the work pruning saves
+     without the host's timing noise; a faster kernel lowers the cost
+     of every expansion on both sides and must not read as a loss.
   3. Warm cache health: per-query warm hit rates of the alignment
      memo, record cache and lookup cache must not drop more than
      --hit-rate-slack (absolute) under the baseline. A cold-start or
@@ -62,6 +65,26 @@ def get_number(obj, key, where):
     return value
 
 
+def expansion_ratio(artifact, path):
+    """Σ noprune_search_expansions / Σ search_expansions over the exact
+    queries of an artifact; exits when there is no exact query."""
+    pruned = exhaustive = 0
+    for q in artifact["queries"]:
+        where = f"{path} query '{q.get('name')}'"
+        truncated = q.get("search_truncated")
+        if not isinstance(truncated, bool):
+            die(f"key 'search_truncated' in {where} is not a boolean "
+                f"(got {truncated!r})")
+        if truncated:
+            continue
+        pruned += get_number(q, "search_expansions", where)
+        exhaustive += get_number(q, "noprune_search_expansions", where)
+    if pruned <= 0:
+        die(f"{path} has no exact query with expansions; the pruning "
+            f"ratio cannot gate anything")
+    return exhaustive / pruned
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("new_json")
@@ -69,7 +92,8 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="relative slack for latency/speedup (0.20 = 20%%)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="hard floor for summary.warm_speedup")
+                        help="hard floor for the exhaustive / pruned "
+                        "expansion ratio over the exact queries")
     parser.add_argument("--hit-rate-slack", type=float, default=0.05,
                         help="absolute slack for warm cache hit rates")
     args = parser.parse_args()
@@ -89,10 +113,8 @@ def main():
                           f"{args.new_json} summary")
     base_warm = get_number(base_sum, "warm_mean_ms",
                            f"{args.baseline_json} summary")
-    new_speedup = get_number(new_sum, "warm_speedup",
-                             f"{args.new_json} summary")
-    base_speedup = get_number(base_sum, "warm_speedup",
-                              f"{args.baseline_json} summary")
+    new_ratio = expansion_ratio(new, args.new_json)
+    base_ratio = expansion_ratio(base, args.baseline_json)
     # A zero baseline makes both the relative-latency and the speedup
     # comparison vacuous — every run would "pass". That is a broken or
     # truncated baseline artifact, not a healthy bench, so refuse it.
@@ -100,10 +122,6 @@ def main():
         die(f"key 'warm_mean_ms' in {args.baseline_json} summary is "
             f"{base_warm}; a zero/negative baseline cannot gate anything "
             f"(re-record the baseline)")
-    if base_speedup <= 0:
-        die(f"key 'warm_speedup' in {args.baseline_json} summary is "
-            f"{base_speedup}; a zero/negative baseline cannot gate "
-            f"anything (re-record the baseline)")
 
     limit = base_warm * (1.0 + args.tolerance)
     if new_warm > limit:
@@ -112,11 +130,11 @@ def main():
             f"baseline {base_warm:.2f} "
             f"+{args.tolerance:.0%} (limit {limit:.2f})")
 
-    floor = max(base_speedup * (1.0 - args.tolerance), args.min_speedup)
-    if new_speedup < floor:
+    floor = max(base_ratio * (1.0 - args.tolerance), args.min_speedup)
+    if new_ratio < floor:
         failures.append(
-            f"warm_speedup {new_speedup:.2f} below floor "
-            f"{floor:.2f} (baseline {base_speedup:.2f}, "
+            f"exhaustive/pruned expansion ratio {new_ratio:.2f} below "
+            f"floor {floor:.2f} (baseline {base_ratio:.2f}, "
             f"min {args.min_speedup:.2f})")
 
     base_rows = {q.get("name"): q for q in base["queries"]}
@@ -144,8 +162,8 @@ def main():
         return 1
     print(f"bench ok: warm_mean={new_warm:.2f}ms "
           f"(baseline {base_warm:.2f}ms), "
-          f"warm_speedup={new_speedup:.2f}x "
-          f"(baseline {base_speedup:.2f}x)")
+          f"expansion_ratio={new_ratio:.2f}x "
+          f"(baseline {base_ratio:.2f}x)")
     return 0
 
 
