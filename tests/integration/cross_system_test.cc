@@ -43,24 +43,44 @@ DataGraph RandomGraph(uint64_t seed) {
   static const char* kPredicates[] = {"p", "q", "r"};
   static const char* kValues[] = {"red", "green", "blue"};
   std::vector<Triple> triples;
+  std::vector<uint8_t> last_has_in(width, 0);
   for (size_t l = 0; l + 1 < layers; ++l) {
     for (size_t w = 0; w < width; ++w) {
       size_t fanout = 1 + rng.Uniform(2);
       for (size_t f = 0; f < fanout; ++f) {
-        triples.push_back(
-            {nodes[l][w],
-             Term::Iri("http://rnd.org/" +
-                       std::string(kPredicates[rng.Uniform(3)])),
-             nodes[l + 1][rng.Uniform(width)]});
+        const char* predicate = kPredicates[rng.Uniform(3)];
+        size_t to = rng.Uniform(width);
+        triples.push_back({nodes[l][w],
+                           Term::Iri("http://rnd.org/" +
+                                     std::string(predicate)),
+                           nodes[l + 1][to]});
+        if (l + 2 == layers) last_has_in[to] = 1;
       }
     }
   }
+  std::vector<size_t> tagged;
   for (size_t w = 0; w < width; ++w) {
     if (rng.Bernoulli(0.7)) {
+      tagged.push_back(w);
       triples.push_back({nodes[layers - 1][w],
                          Term::Iri("http://rnd.org/tag"),
                          Term::Literal(kValues[rng.Uniform(3)])});
     }
+  }
+  // Without an edge into a tagged node the graph has no two-edge path,
+  // and a query sampled from it has no variable. Add one such edge, or,
+  // when no node drew a tag, tag a node that has an in-edge. Neither
+  // draws, so every graph that already has such an edge is unchanged.
+  bool linked = false;
+  for (size_t w : tagged) linked = linked || last_has_in[w] != 0;
+  if (!linked && !tagged.empty()) {
+    triples.push_back({nodes[layers - 2][0], Term::Iri("http://rnd.org/p"),
+                       nodes[layers - 1][tagged[0]]});
+  } else if (!linked) {
+    size_t w = std::find(last_has_in.begin(), last_has_in.end(), 1) -
+               last_has_in.begin();
+    triples.push_back({nodes[layers - 1][w], Term::Iri("http://rnd.org/tag"),
+                       Term::Literal(kValues[0])});
   }
   return DataGraph::FromTriples(triples);
 }
@@ -210,6 +230,12 @@ TEST_P(CrossSystemTest, SamaFindsExactAnswersAtLambdaZero) {
   DataGraph graph = RandomGraph(GetParam());
   std::vector<Triple> patterns = SampledQuery(graph, GetParam());
   ASSERT_FALSE(patterns.empty()) << "the graph has no edge";
+  bool has_variable = false;
+  for (const Triple& t : patterns) {
+    has_variable = has_variable || t.subject.is_variable() ||
+                   t.object.is_variable();
+  }
+  ASSERT_TRUE(has_variable) << "the sampled query is variable-free";
   QueryGraph q = QueryGraph::FromPatterns(patterns, graph.shared_dict());
   ExactMatcher exact(&graph);
   auto e = exact.Execute(q, 0);
