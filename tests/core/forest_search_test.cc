@@ -5,6 +5,7 @@
 #include <chrono>
 #include <set>
 
+#include "core/score.h"
 #include "testing/fixtures.h"
 
 namespace sama {
@@ -218,6 +219,52 @@ TEST_F(ForestSearchTest, ExpiredDeadlineTruncatesWithoutLeaking) {
     EXPECT_EQ((*again)[i].score, (*reference)[i].score) << i;
     EXPECT_EQ((*again)[i].enum_key, (*reference)[i].enum_key) << i;
   }
+}
+
+// Two data paths sharing more nodes than a connectivity row's χ counter
+// holds: the saturated entry is recounted from the node sets, so ψ is
+// exact, and the same as without the rows (require_connected off).
+TEST(ForestSearchLongPathTest, SharedNodeCountBeyondRowCounter) {
+  constexpr int kChain = 300;
+  const std::string ns = "http://long.example.org/";
+  auto node = [&](int i) { return Term::Iri(ns + "n" + std::to_string(i)); };
+  std::vector<Triple> triples;
+  for (int i = 0; i + 1 < kChain; ++i) {
+    triples.push_back({node(i), Term::Iri(ns + "next"), node(i + 1)});
+  }
+  triples.push_back({node(kChain - 1), Term::Iri(ns + "q"),
+                     Term::Literal("end")});
+  triples.push_back({node(kChain - 1), Term::Iri(ns + "r"),
+                     Term::Literal("other")});
+  DataGraph graph = DataGraph::FromTriples(triples);
+  PathIndex index;
+  ASSERT_TRUE(index.Build(graph, PathIndexOptions()).ok());
+  // Two query paths ?a-?b-"end" and ?a-?b-"other": |χ(q1, q2)| = 2.
+  QueryGraph query = QueryGraph::FromPatterns(
+      {{Term::Variable("a"), Term::Iri(ns + "next"), Term::Variable("b")},
+       {Term::Variable("b"), Term::Iri(ns + "q"), Term::Literal("end")},
+       {Term::Variable("b"), Term::Iri(ns + "r"), Term::Literal("other")}},
+      graph.shared_dict());
+  IntersectionQueryGraph ig(query);
+  ASSERT_EQ(ig.edges().size(), 1u);
+  ASSERT_EQ(ig.edges()[0].shared.size(), 2u);
+  ScoreParams params;
+  auto clusters =
+      BuildClusters(query, index, nullptr, params, ClusteringOptions());
+  ASSERT_TRUE(clusters.ok());
+
+  ForestSearchOptions options;
+  options.k = 1;
+  auto connected = ForestSearch(query, ig, *clusters, params, options);
+  options.require_connected = false;
+  auto unconnected = ForestSearch(query, ig, *clusters, params, options);
+  ASSERT_TRUE(connected.ok());
+  ASSERT_TRUE(unconnected.ok());
+  ASSERT_EQ(connected->size(), 1u);
+  ASSERT_EQ(unconnected->size(), 1u);
+  // The two chains share n0 .. n299.
+  EXPECT_EQ((*connected)[0].psi_total, PsiCost(2, kChain, params));
+  EXPECT_EQ((*unconnected)[0].psi_total, (*connected)[0].psi_total);
 }
 
 }  // namespace
