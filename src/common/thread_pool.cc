@@ -4,9 +4,40 @@
 #include <exception>
 #include <string>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace sama {
 
-ThreadPool::ThreadPool(size_t num_workers) {
+namespace {
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls `ready` for up to `spin`; returns whether it turned true.
+template <typename Ready>
+bool SpinUntil(std::chrono::microseconds spin, Ready ready) {
+  if (spin.count() <= 0) return false;
+  const auto until = std::chrono::steady_clock::now() + spin;
+  do {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) return true;
+      CpuRelax();
+    }
+  } while (std::chrono::steady_clock::now() < until);
+  return ready();
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(size_t num_workers, std::chrono::microseconds spin)
+    : spin_(spin) {
   size_t n = num_workers == 0 ? 1 : num_workers;
   queues_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -75,8 +106,22 @@ bool ThreadPool::TryRunOneTask(size_t home) {
 }
 
 void ThreadPool::WorkerLoop(size_t index) {
+  bool ran = false;
   while (true) {
-    if (TryRunOneTask(index)) continue;
+    if (TryRunOneTask(index)) {
+      ran = true;
+      continue;
+    }
+    // A worker that has just run a task spins first: a task queued
+    // meanwhile runs without a wake-up.
+    if (ran && SpinUntil(spin_, [this] {
+          return queued_.load(std::memory_order_acquire) > 0 ||
+                 stopping_.load(std::memory_order_acquire);
+        }) &&
+        !stopping_.load(std::memory_order_acquire)) {
+      continue;
+    }
+    ran = false;
     std::unique_lock<std::mutex> lock(idle_mu_);
     idle_cv_.wait(lock, [this] {
       return stopping_.load(std::memory_order_acquire) ||
@@ -98,6 +143,7 @@ struct ParallelForState {
   size_t n = 0;
   const std::function<Status(size_t)>* body = nullptr;
   std::atomic<uint64_t>* busy_nanos = nullptr;
+  int caller_cpu = -1;  // The CPU the caller submitted from, if known.
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
 
@@ -107,6 +153,38 @@ struct ParallelForState {
   size_t error_index = SIZE_MAX;
   Status error;
 };
+
+// The CPU the calling thread runs on, or -1 where that is unknown.
+int CurrentCpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+// Moves the calling thread off `cpu` when it runs there, by excluding
+// `cpu` from its affinity mask for a moment; the thread stays on the CPU
+// the kernel moves it to. The kernel can wake a helper on its caller's
+// CPU, where it runs only when the caller does not, and then wakes it
+// there again: on a 4-vCPU KVM guest after an idle spell, every helper
+// of a 3-worker pool ran on its caller's CPU for seconds, and forest
+// search ran no faster than on one thread.
+void LeaveCpu(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0 || sched_getcpu() != cpu) return;
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  cpu_set_t others = allowed;
+  CPU_CLR(cpu, &others);
+  if (CPU_COUNT(&others) == 0) return;
+  if (sched_setaffinity(0, sizeof(others), &others) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+#else
+  (void)cpu;
+#endif
+}
 
 // Claims indices until the range is exhausted. Runs in the caller and
 // in every recruited helper task.
@@ -158,10 +236,19 @@ Status ParallelFor(ThreadPool* pool, size_t n,
   state->busy_nanos = busy_nanos;
   size_t helpers =
       pool == nullptr ? 0 : std::min(pool->worker_count(), n - 1);
+  if (helpers > 0) state->caller_cpu = CurrentCpu();
   for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state] { DrainRange(state); });
+    pool->Submit([state] {
+      LeaveCpu(state->caller_cpu);
+      DrainRange(state);
+    });
   }
   DrainRange(state);
+  if (helpers > 0) {
+    SpinUntil(pool->spin(), [&] {
+      return state->done.load(std::memory_order_acquire) == n;
+    });
+  }
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait(lock, [&] {

@@ -2,6 +2,7 @@
 #define SAMA_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -27,12 +28,18 @@ namespace sama {
 // workers, which makes nested parallel sections (a worker submitting
 // its own ParallelFor) deadlock-free by construction — the nested
 // caller drains its own range even when every worker is occupied.
+//
+// A pool may spin: a worker that has just run out of tasks, and a
+// ParallelFor caller waiting for its helpers, poll for up to `spin`
+// before they block. Parallel sections that follow each other within that time then
+// find their threads awake, instead of paying a wake-up each.
 class ThreadPool {
  public:
   // Spawns `num_workers` worker threads (clamped to >= 1; pass
   // HardwareThreads() - 1 to saturate the machine including the
-  // caller).
-  explicit ThreadPool(size_t num_workers);
+  // caller) that spin for `spin` before blocking.
+  explicit ThreadPool(size_t num_workers,
+                      std::chrono::microseconds spin = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -44,6 +51,7 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   size_t worker_count() const { return workers_.size(); }
+  std::chrono::microseconds spin() const { return spin_; }
 
   // max(1, std::thread::hardware_concurrency()).
   static size_t HardwareThreads();
@@ -59,6 +67,7 @@ class ThreadPool {
   bool TryRunOneTask(size_t home);
   void WorkerLoop(size_t index);
 
+  std::chrono::microseconds spin_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 

@@ -10,6 +10,10 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace sama {
 namespace {
 
@@ -50,6 +54,31 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasksAndJoins) {
     }
     // No wait: the destructor must run every queued task before the
     // workers exit, then join them.
+  }
+  EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, SpinningPoolRunsBackToBackSections) {
+  ThreadPool pool(3, std::chrono::microseconds(500));
+  EXPECT_EQ(pool.spin(), std::chrono::microseconds(500));
+  std::vector<std::atomic<int>> hits(64);
+  for (int round = 0; round < 200; ++round) {
+    Status s = ParallelFor(&pool, hits.size(), [&](size_t i) -> Status {
+      hits[i].fetch_add(1);
+      return Status::Ok();
+    });
+    ASSERT_TRUE(s.ok());
+  }
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 200);
+}
+
+TEST(ThreadPoolTest, SpinningPoolDrainsAndJoins) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(2, std::chrono::microseconds(500));
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&] { counter.fetch_add(1); });
+    }
   }
   EXPECT_EQ(counter.load(), 50);
 }
@@ -148,6 +177,52 @@ TEST(ParallelForTest, BusyNanosAccumulates) {
   // 16 iterations of >= 1ms each.
   EXPECT_GE(busy.load(), 16ull * 1000 * 1000);
 }
+
+#if defined(__linux__)
+// A helper that starts on its caller's CPU narrows its affinity mask for
+// a moment to move elsewhere; every helper must run with its mask whole.
+TEST(ParallelForTest, HelpersKeepTheirAffinityMask) {
+  cpu_set_t before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  ThreadPool pool(3);
+  std::atomic<int> narrowed{0};
+  for (int round = 0; round < 50; ++round) {
+    Status s = ParallelFor(&pool, 16, [&](size_t) -> Status {
+      cpu_set_t now;
+      if (sched_getaffinity(0, sizeof(now), &now) != 0 ||
+          !CPU_EQUAL(&now, &before)) {
+        narrowed.fetch_add(1);
+      }
+      return Status::Ok();
+    });
+    ASSERT_TRUE(s.ok());
+  }
+  EXPECT_EQ(narrowed.load(), 0);
+}
+
+// With one CPU allowed there is nowhere to move a helper to; every index
+// still runs exactly once.
+TEST(ParallelForTest, RunsWhenConfinedToOneCpu) {
+  cpu_set_t before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::vector<std::atomic<int>> hits(200);
+  Status s;
+  {
+    ThreadPool pool(3);  // Its workers inherit the one-CPU mask.
+    s = ParallelFor(&pool, hits.size(), [&](size_t i) -> Status {
+      hits[i].fetch_add(1);
+      return Status::Ok();
+    });
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(before), &before), 0);
+  ASSERT_TRUE(s.ok());
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+#endif
 
 }  // namespace
 }  // namespace sama
