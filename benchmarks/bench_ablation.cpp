@@ -140,7 +140,7 @@ void BufferPoolAblation() {
       std::swap(ids[i - 1], ids[rng.Uniform(i)]);
     }
     sama::WallTimer timer;
-    sama::Path p;
+    std::shared_ptr<const sama::Path> p;
     for (int round = 0; round < 3; ++round) {
       for (sama::PathId id : ids) (void)index.GetPath(id, &p);
     }

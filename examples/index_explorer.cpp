@@ -54,7 +54,7 @@ int main() {
 
   // Cold vs warm lookups of every stored path.
   auto scan_all = [&index]() {
-    sama::Path p;
+    std::shared_ptr<const sama::Path> p;
     for (sama::PathId id = 0; id < index.path_count(); ++id) {
       if (!index.GetPath(id, &p).ok()) return false;
     }

@@ -25,7 +25,7 @@ void PrintAnswers(const sama::DataGraph& graph,
                 a.consistent ? "" : "  [relaxed bindings]");
     for (const sama::ScoredPath& part : a.parts) {
       std::printf("      %-70s [%.2f]\n",
-                  part.path.ToString(graph.dict()).c_str(),
+                  part.path->ToString(graph.dict()).c_str(),
                   part.lambda());
     }
   }
@@ -75,7 +75,7 @@ int main() {
                       .c_str());
       for (const sama::ScoredPath& sp : c.paths) {
         std::printf("    %-70s [%.2f]\n",
-                    sp.path.ToString(graph.dict()).c_str(), sp.lambda());
+                    sp.path->ToString(graph.dict()).c_str(), sp.lambda());
       }
     }
   }

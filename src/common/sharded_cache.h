@@ -78,8 +78,12 @@ struct AtomicCacheCounters {
 // read path never blocks; single-threaded use always acquires the
 // uncontended mutex, keeping eviction order exact where tests rely on
 // it. Eviction itself (under the write mutex) is exact LRU over the
-// recency list. Values are returned by copy: the caller owns its
-// snapshot and the cache can evict freely.
+// recency list. Get copies the value out while pinned, so the caller
+// holds a snapshot the cache can evict freely. A large value should be
+// held as std::shared_ptr<const T> (the path records, the alignment
+// memo): the copy is then one reference-count increment, taken under
+// the pin, and the caller shares the immutable entry, which stays
+// alive and unchanged after an overwrite, eviction or Clear().
 //
 // The cache is an optimisation layer only — every user must produce
 // identical results with the cache disabled. In particular a value must

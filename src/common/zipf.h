@@ -1,15 +1,7 @@
-// Zipf-distributed popularity over a named catalogue, shared by the
-// load benchmarks. Two deliberate properties fix bugs the original
-// bench-local implementation had:
-//
-//   1. Weights follow the CANONICAL rank of an item (names sorted
-//      lexicographically), not its declaration position — reordering
-//      or filtering a query mix no longer silently reshapes the
-//      sampled distribution.
-//   2. Sampling walks a precomputed cumulative distribution with the
-//      final bucket clamped: a uniform draw landing in the
-//      floating-point shortfall above the last cumulative sum maps to
-//      the last index instead of falling off the end.
+// Zipf-distributed popularity over a named catalogue, used by the
+// served benchmark's query mix. Weights follow the CANONICAL rank of an
+// item (names sorted lexicographically), not its declaration position,
+// so reordering or filtering a query mix cannot silently reshape it.
 
 #pragma once
 
@@ -18,8 +10,6 @@
 #include <cstddef>
 #include <string>
 #include <vector>
-
-#include "common/random.h"
 
 namespace sama {
 
@@ -46,37 +36,5 @@ inline std::vector<double> ZipfWeights(const std::vector<std::string>& names,
   for (double& w : weights) w /= total;
   return weights;
 }
-
-// Samples indices proportionally to a fixed weight vector via its
-// cumulative distribution (O(log n) per draw).
-class ZipfSampler {
- public:
-  ZipfSampler() = default;
-  explicit ZipfSampler(const std::vector<double>& weights) : cum_(weights) {
-    double acc = 0;
-    for (double& c : cum_) {
-      acc += c;
-      c = acc;
-    }
-  }
-
-  // The bucket a uniform draw u in [0, 1) lands in: the first index
-  // whose cumulative weight strictly exceeds u, clamped to the last
-  // bucket so round-off in the cumulative sum can never push a draw
-  // past the end. Zero-weight entries occupy an empty half-open
-  // interval and are never selected.
-  size_t IndexFor(double u) const {
-    auto it = std::upper_bound(cum_.begin(), cum_.end(), u);
-    if (it == cum_.end()) return cum_.size() - 1;
-    return static_cast<size_t>(it - cum_.begin());
-  }
-
-  size_t Sample(Random* rng) const { return IndexFor(rng->NextDouble()); }
-
-  bool empty() const { return cum_.empty(); }
-
- private:
-  std::vector<double> cum_;
-};
 
 }  // namespace sama

@@ -1,5 +1,7 @@
 #include "core/alignment.h"
 
+#include <cstring>
+
 namespace sama {
 namespace {
 
@@ -318,8 +320,8 @@ AlignmentMemo::QueryKey AlignmentMemo::MakeQueryKey(const Path& q,
                                                     const ScoreParams& params) {
   // Fixed-width binary encoding — unambiguous by construction (every
   // field is fixed size or length-prefixed), so two distinct
-  // computations can never share a key. The data path id is appended
-  // per lookup in AlignCached.
+  // computations can never share a key. The trailing 8 bytes are the
+  // data path id slot AlignCached fills per lookup.
   QueryKey qk;
   std::string& key = qk.bytes_;
   key.reserve(64 + 4 * (q.node_labels.size() + q.edge_labels.size()));
@@ -333,44 +335,33 @@ AlignmentMemo::QueryKey AlignmentMemo::MakeQueryKey(const Path& q,
   AppendU64(&key, q.node_labels.size());
   for (TermId id : q.node_labels) AppendRaw(&key, &id, sizeof(id));
   for (TermId id : q.edge_labels) AppendRaw(&key, &id, sizeof(id));
+  AppendU64(&key, 0);
   return qk;
 }
 
-PathAlignment AlignmentMemo::AlignCached(const QueryKey& query_key,
-                                         uint64_t data_path_id, const Path& p,
-                                         const Path& q,
-                                         const LabelComparator& cmp,
-                                         const ScoreParams& params,
-                                         double lambda_cutoff,
-                                         CacheCounters* stats) {
-  std::string key;
-  key.reserve(query_key.bytes_.size() + sizeof(uint64_t));
-  key.append(query_key.bytes_);
-  AppendU64(&key, data_path_id);
-  Entry entry;
-  if (cache_.Get(key, &entry, stats)) {
-    if (!entry.alignment.aborted) {
-      // Full alignment: answers any cutoff. Cost accrual is monotone,
-      // so the direct greedy scan aborts exactly when the full λ ≥
-      // cutoff. (The DP ignores the cutoff and never aborts, so its
-      // entries are served verbatim.)
-      if (params.alignment_mode != AlignmentMode::kOptimalDp &&
-          entry.alignment.lambda >= lambda_cutoff) {
-        entry.alignment.aborted = true;  // λ stays ≥ cutoff, as direct.
-      }
-      return std::move(entry.alignment);
-    }
-    // Aborted entry: its partial λ already reached entry.cutoff_used,
-    // so any cutoff ≤ that partial λ would abort too. A larger cutoff
-    // might let the scan complete — fall through, recompute under the
-    // new cutoff, and overwrite with the more informative result.
-    if (lambda_cutoff <= entry.alignment.lambda) {
-      return std::move(entry.alignment);
-    }
+std::shared_ptr<const PathAlignment> AlignmentMemo::AlignCached(
+    QueryKey* query_key, uint64_t data_path_id, const Path& p, const Path& q,
+    const LabelComparator& cmp, const ScoreParams& params,
+    double lambda_cutoff, CacheCounters* stats) {
+  std::string& key = query_key->bytes_;
+  std::memcpy(&key[key.size() - sizeof(data_path_id)], &data_path_id,
+              sizeof(data_path_id));
+  std::shared_ptr<const PathAlignment> entry;
+  // A full entry answers any cutoff: it is served as stored, and a λ
+  // at or past the cutoff reads as aborted to the caller, as the
+  // direct greedy scan would report. (The DP ignores the cutoff and
+  // never aborts.) An aborted entry's partial λ already reached the
+  // cutoff it ran under, so any cutoff ≤ that partial λ would abort
+  // too; a looser cutoff might let the scan complete — recompute under
+  // it and overwrite with the more informative result.
+  if (cache_.Get(key, &entry, stats) &&
+      (!entry->aborted || lambda_cutoff <= entry->lambda)) {
+    return entry;
   }
-  PathAlignment fresh = Align(p, q, cmp, params, lambda_cutoff);
-  cache_.Put(key, Entry{fresh, lambda_cutoff}, stats);
-  return fresh;
+  entry = std::make_shared<const PathAlignment>(
+      Align(p, q, cmp, params, lambda_cutoff));
+  cache_.Put(key, entry, stats);
+  return entry;
 }
 
 }  // namespace sama

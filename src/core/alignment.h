@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "common/sharded_cache.h"
@@ -85,34 +86,38 @@ PathAlignment Align(
 // identity, the query path's full label sequence), so a hit is
 // guaranteed to describe the same computation — path ids are immutable
 // once stored, TermIds never change meaning within a store's
-// dictionary, and a mutated thesaurus gets a fresh identity.
+// dictionary, and a mutated thesaurus gets a fresh identity. Entries
+// are immutable and shared: a hit hands out the memoized alignment
+// itself, never a copy, so it stays valid after an eviction or Clear().
 //
 // Cutoff handling preserves the early-exit semantics exactly
-// (alignment cost accrues monotonically, so a scan under cutoff c
-// aborts iff the full λ ≥ c):
-//   * a memoized FULL alignment answers ANY cutoff — served verbatim
-//     when λ < cutoff, reported as aborted when λ ≥ cutoff;
+// (alignment cost accrues monotonically, so a greedy scan under cutoff
+// c aborts iff the full λ ≥ c, and then its partial λ ≥ c too):
+//   * a memoized FULL alignment answers ANY cutoff. It is served as
+//     stored, so its λ may reach the cutoff while `aborted` stays
+//     false; callers treat λ ≥ cutoff as aborted (see ScoreChunk),
+//     exactly what the direct scan reports;
 //   * a memoized ABORTED alignment (partial λ ≥ the cutoff it ran
 //     under) answers any cutoff ≤ its partial λ (the new scan would
-//     abort too); stricter asks recompute and overwrite the entry.
-// Callers discard aborted results without reading φ/τ (see ScoreChunk),
-// which is why serving a full alignment with the aborted flag set is
+//     abort too); looser asks recompute and overwrite the entry.
+// Callers discard a result with λ ≥ cutoff without reading φ/τ, which
+// is why serving a full alignment in place of an aborted one is
 // indistinguishable from the direct computation.
 class AlignmentMemo {
  public:
-  // The key material every candidate aligned against the same query
-  // path shares: alignment mode, Equation-1 weights, thesaurus
-  // identity and q's full label sequence. Serializing it is the
+  // The memo key of one query path: alignment mode, Equation-1
+  // weights, thesaurus identity and q's full label sequence, followed
+  // by a slot for the data path id. Serializing the query part is the
   // expensive part of a lookup, so ScoreChunk builds one QueryKey per
-  // cluster and reuses it across all candidates — the per-candidate
-  // cost is then an 8-byte id append.
+  // chunk and reuses it for every candidate: AlignCached rewrites only
+  // the id slot in place, so a hit allocates nothing.
   class QueryKey {
    public:
     QueryKey() = default;
 
    private:
     friend class AlignmentMemo;
-    std::string bytes_;
+    std::string bytes_;  // Query part, then the 8-byte id slot.
   };
   static QueryKey MakeQueryKey(const Path& q, const LabelComparator& cmp,
                                const ScoreParams& params);
@@ -120,25 +125,27 @@ class AlignmentMemo {
   // `capacity` entries across `shards` shards (see ShardedLruCache).
   explicit AlignmentMemo(size_t capacity, size_t shards = 8);
 
-  // Align(p, q, cmp, params, lambda_cutoff) through the memo.
-  // `data_path_id` must uniquely identify p's label content within the
-  // store this memo serves (PathStore ids qualify). `query_key` must
-  // have been built from this call's (q, cmp, params). `stats`
-  // (optional) receives this call's memo traffic — the per-query
-  // attribution sink.
-  PathAlignment AlignCached(
-      const QueryKey& query_key, uint64_t data_path_id, const Path& p,
+  // Align(p, q, cmp, params, lambda_cutoff) through the memo, as the
+  // shared memo entry (see the class comment for how a result with
+  // λ ≥ lambda_cutoff reads). `data_path_id` must uniquely identify
+  // p's label content within the store this memo serves (PathStore ids
+  // qualify). `query_key` must have been built from this call's
+  // (q, cmp, params); its id slot is overwritten. `stats` (optional)
+  // receives this call's memo traffic — the per-query attribution
+  // sink.
+  std::shared_ptr<const PathAlignment> AlignCached(
+      QueryKey* query_key, uint64_t data_path_id, const Path& p,
       const Path& q, const LabelComparator& cmp, const ScoreParams& params,
       double lambda_cutoff = std::numeric_limits<double>::infinity(),
       CacheCounters* stats = nullptr);
 
   // Convenience overload for one-off lookups (tests, benchmarks).
-  PathAlignment AlignCached(
+  std::shared_ptr<const PathAlignment> AlignCached(
       uint64_t data_path_id, const Path& p, const Path& q,
       const LabelComparator& cmp, const ScoreParams& params,
       double lambda_cutoff = std::numeric_limits<double>::infinity()) {
-    return AlignCached(MakeQueryKey(q, cmp, params), data_path_id, p, q, cmp,
-                       params, lambda_cutoff);
+    QueryKey key = MakeQueryKey(q, cmp, params);
+    return AlignCached(&key, data_path_id, p, q, cmp, params, lambda_cutoff);
   }
 
   // Drops every entry (index rebuilds / store swaps).
@@ -149,13 +156,7 @@ class AlignmentMemo {
   uint64_t lock_skips() const { return cache_.lru_lock_skips(); }
 
  private:
-  struct Entry {
-    PathAlignment alignment;
-    // The cutoff the memoized run used; +infinity for full alignments.
-    double cutoff_used = std::numeric_limits<double>::infinity();
-  };
-
-  ShardedLruCache<std::string, Entry> cache_;
+  ShardedLruCache<std::string, std::shared_ptr<const PathAlignment>> cache_;
 };
 
 }  // namespace sama

@@ -20,7 +20,8 @@ constexpr size_t kMaxIoRetries = 2;
 // the read; that is not damage, so it is skipped silently in both
 // policies.
 Status LoadCandidate(const PathIndex& index, PathId id,
-                     const ClusteringOptions& options, Path* out, bool* skip,
+                     const ClusteringOptions& options,
+                     std::shared_ptr<const Path>* out, bool* skip,
                      std::atomic<uint64_t>* corrupt_skipped,
                      std::atomic<uint64_t>* io_retried,
                      CacheCounters* record_stats) {
@@ -127,7 +128,7 @@ Status ScoreChunk(const QueryGraph& query, const Path& q,
   }
   AlignmentMemo* memo =
       caches != nullptr ? caches->alignment_memo : nullptr;
-  // One key build per chunk; candidates only append their 8-byte id.
+  // One key build per chunk; candidates only rewrite its 8-byte id.
   AlignmentMemo::QueryKey memo_key;
   if (memo != nullptr) {
     memo_key = AlignmentMemo::MakeQueryKey(q, cmp, params);
@@ -151,13 +152,20 @@ Status ScoreChunk(const QueryGraph& query, const Path& q,
         early_exit ? cutoff : std::numeric_limits<double>::infinity();
     sp.alignment =
         memo != nullptr
-            ? memo->AlignCached(memo_key, sp.id, sp.path, q, cmp, params,
+            ? memo->AlignCached(&memo_key, sp.id, *sp.path, q, cmp, params,
                                 effective_cutoff,
                                 deltas != nullptr ? &local_alignments : nullptr)
-            : Align(sp.path, q, cmp, params, effective_cutoff);
-    if (sp.alignment.aborted) continue;  // Cannot make the top n.
+            : std::make_shared<const PathAlignment>(
+                  Align(*sp.path, q, cmp, params, effective_cutoff));
+    // Cannot make the top n. A greedy alignment reaches the cutoff iff
+    // the scan under it aborts, so this also covers the memo's full
+    // entries, which are served as stored rather than copied just to
+    // set `aborted`. The DP never aborts; an alignment of its past the
+    // cutoff trails the chunk's `cap` kept ones strictly and would be
+    // cut by the cluster's top-n anyway.
+    if (sp.alignment->aborted || sp.lambda() >= effective_cutoff) continue;
     if (early_exit) {
-      kept_lambdas.push(sp.alignment.lambda);
+      kept_lambdas.push(sp.lambda());
       if (kept_lambdas.size() > cap) kept_lambdas.pop();
       if (kept_lambdas.size() == cap) {
         cutoff = kept_lambdas.top() + 1e-9;

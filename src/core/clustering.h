@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -18,13 +19,16 @@
 namespace sama {
 
 // One candidate data path inside a cluster, with its alignment against
-// the cluster's query path.
+// the cluster's query path. Both point at immutable objects that the
+// index's record cache and the engine's alignment memo may share with
+// other clusters, answers and queries; copying a ScoredPath copies two
+// pointers.
 struct ScoredPath {
   PathId id = 0;
-  Path path;
-  PathAlignment alignment;
+  std::shared_ptr<const Path> path;
+  std::shared_ptr<const PathAlignment> alignment;
 
-  double lambda() const { return alignment.lambda; }
+  double lambda() const { return alignment->lambda; }
 };
 
 // The cluster built for one query path (§5 Clustering, Figure 3):

@@ -692,7 +692,7 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
     }
     sliced.push_back(std::move(*clusters_or));
   }
-  const std::vector<Cluster> clusters =
+  std::vector<Cluster> clusters =
       sliced.size() == 1
           ? std::move(sliced[0])
           : MergeSliceClusters(std::move(sliced),
@@ -739,6 +739,9 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
   local.alignment_memo = deltas.alignments.Snapshot();
   local.thesaurus_cache = deltas.thesaurus.Snapshot();
 
+  // The clusters end inside the query's span and latency: the answers
+  // keep their own references to the records and alignments they use.
+  clusters.clear();
   query_span = ObsSpan();
   local.total_millis = total.ElapsedMillis();
   local.num_answers = answers_or->size();

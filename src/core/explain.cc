@@ -48,13 +48,13 @@ std::string ExplainAnswer(const QueryGraph& query, const Answer& answer,
       out += "q" + std::to_string(qi + 1) + ": " +
              query.paths()[qi].ToString(dict) + "\n";
     }
-    out += "    aligned to " + part.path.ToString(dict) + "\n";
+    out += "    aligned to " + part.path->ToString(dict) + "\n";
     out += "    lambda " + Format("%.2f", part.lambda()) + ", " +
-           DescribeTransformation(part.alignment.tau, params.weights) +
+           DescribeTransformation(part.alignment->tau, params.weights) +
            "\n";
     // Bindings this path contributed, sorted for stable output.
     std::map<std::string, std::string> bindings;
-    for (const auto& [var, value] : part.alignment.phi.bindings()) {
+    for (const auto& [var, value] : part.alignment->phi.bindings()) {
       bindings[var] = value.DisplayLabel();
     }
     for (const auto& [var, value] : bindings) {

@@ -12,7 +12,7 @@ namespace sama {
 std::vector<Triple> Answer::ToTriples(const TermDictionary& dict) const {
   std::vector<Triple> out;
   for (const ScoredPath& part : parts) {
-    const Path& p = part.path;
+    const Path& p = *part.path;
     for (size_t i = 0; i + 1 < p.node_labels.size(); ++i) {
       out.push_back(Triple{dict.term(p.node_labels[i]),
                            dict.term(p.edge_labels[i]),
@@ -101,7 +101,7 @@ struct NodeSets {
     off.reserve(paths.size() + 1);
     for (const ScoredPath& sp : paths) {
       const size_t from = ids.size();
-      ids.insert(ids.end(), sp.path.nodes.begin(), sp.path.nodes.end());
+      ids.insert(ids.end(), sp.path->nodes.begin(), sp.path->nodes.end());
       std::sort(ids.begin() + from, ids.end());
       ids.erase(std::unique(ids.begin() + from, ids.end()), ids.end());
       off.push_back(ids.size());
@@ -470,7 +470,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     lambdas[pos].reserve(active[order[pos]]->size());
     for (const ScoredPath& sp : active[order[pos]]->paths) {
       lambdas[pos].push_back(sp.lambda());
-      max_len[pos] = std::max(max_len[pos], sp.path.length());
+      max_len[pos] = std::max(max_len[pos], sp.path->length());
     }
   }
 
@@ -660,7 +660,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   }
 
   // A completed combination, scored with the same expression as ever.
-  // The full Answer (path copies, φ merge, FILTER, consistency) is built
+  // The full Answer (parts, φ merge, FILTER, consistency) is built
   // only when `keep` would insert it; the two early returns discard
   // exactly what `keep` would discard:
   //  1. the list already holds k answers and this one ranks after the
@@ -698,7 +698,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         const Term* bound = nullptr;
         for (size_t c : ar.by_lambda) {
           const size_t pos = position_of[c];
-          bound = candidate(pos, ar.choice[pos]).alignment.phi.Lookup(var);
+          bound = candidate(pos, ar.choice[pos]).alignment->phi.Lookup(var);
           if (bound != nullptr) break;
         }
         ar.tuple += bound != nullptr ? bound->ToString() : unbound;
@@ -724,7 +724,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     }
     answer.enum_key = ar.choice;
     for (size_t c : ar.by_lambda) {
-      if (!answer.binding.Merge(answer.parts[c].alignment.phi)) {
+      if (!answer.binding.Merge(answer.parts[c].alignment->phi)) {
         answer.consistent = false;
       }
     }
@@ -834,9 +834,9 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
           psi_here += edge.psi[chi_p];
         }
         if (valid && options.require_consistent_bindings) {
+          const Substitution& phi = paths[idx].alignment->phi;
           for (size_t j = 0; j < pos; ++j) {
-            if (!candidate(j, ar.choice[j])
-                     .alignment.phi.CompatibleWith(paths[idx].alignment.phi)) {
+            if (!candidate(j, ar.choice[j]).alignment->phi.CompatibleWith(phi)) {
               valid = false;
               break;
             }

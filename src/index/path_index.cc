@@ -669,7 +669,7 @@ std::vector<PathId> PathIndex::PathsContaining(
   return out;
 }
 
-Status PathIndex::GetPath(PathId id, Path* out,
+Status PathIndex::GetPath(PathId id, std::shared_ptr<const Path>* out,
                           CacheCounters* record_stats) const {
   if (deleted_paths_.count(id) > 0) {
     return Status::NotFound("path " + std::to_string(id) +
@@ -678,15 +678,15 @@ Status PathIndex::GetPath(PathId id, Path* out,
   if (record_cache_ != nullptr && record_cache_->Get(id, out, record_stats)) {
     return Status::Ok();
   }
-  Status s = store_.Get(id, out);
+  auto path = std::make_shared<Path>();
+  SAMA_RETURN_IF_ERROR(store_.Get(id, path.get()));
   // Only verified reads are memoized: a record that failed its
   // checksum or I/O must keep failing (or keep being retried) exactly
-  // as if no cache existed — PR 2's strict-io and degraded-read
-  // semantics depend on it.
-  if (s.ok() && record_cache_ != nullptr) {
-    record_cache_->Put(id, *out, record_stats);
-  }
-  return s;
+  // as if no cache existed — the strict-io and degraded-read semantics
+  // depend on it.
+  if (record_cache_ != nullptr) record_cache_->Put(id, path, record_stats);
+  *out = std::move(path);
+  return Status::Ok();
 }
 
 void PathIndex::ConfigureQueryCache(bool enabled) const {
@@ -698,8 +698,9 @@ void PathIndex::ConfigureQueryCache(bool enabled) const {
   lookup_cache_ =
       std::make_unique<ShardedLruCache<std::string, std::vector<PathId>>>(
           kLookupCacheEntries);
-  record_cache_ =
-      std::make_unique<ShardedLruCache<PathId, Path>>(kRecordCacheEntries);
+  record_cache_ = std::make_unique<
+      ShardedLruCache<PathId, std::shared_ptr<const Path>>>(
+      kRecordCacheEntries);
 }
 
 void PathIndex::DropQueryCaches() const {

@@ -172,9 +172,11 @@ class PathIndex {
                                       const Thesaurus* thesaurus,
                                       IndexCacheCounters* stats = nullptr) const;
 
-  // Loads a stored path. `record_stats` (optional) receives this call's
-  // record-cache traffic.
-  Status GetPath(PathId id, Path* out,
+  // Loads a stored path. The record is immutable and may be shared
+  // with the record cache and with every other caller that read it; a
+  // caller that needs its own copy dereferences. `record_stats`
+  // (optional) receives this call's record-cache traffic.
+  Status GetPath(PathId id, std::shared_ptr<const Path>* out,
                  CacheCounters* record_stats = nullptr) const;
 
   // Element-to-element mapping from the hashing step: graph nodes/edges
@@ -321,10 +323,11 @@ class PathIndex {
   // differently) plus the thesaurus content identity. The record cache
   // holds verified paths only and is keyed by immutable PathIds, so it
   // survives AddTriple: tombstones are screened before it, and new ids
-  // were never cached.
+  // were never cached. GetPath hands out the cached record itself.
   mutable std::unique_ptr<ShardedLruCache<std::string, std::vector<PathId>>>
       lookup_cache_;
-  mutable std::unique_ptr<ShardedLruCache<PathId, Path>> record_cache_;
+  mutable std::unique_ptr<ShardedLruCache<PathId, std::shared_ptr<const Path>>>
+      record_cache_;
 };
 
 }  // namespace sama

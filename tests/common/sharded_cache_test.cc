@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace sama {
@@ -203,6 +207,99 @@ TEST(ShardedCacheTest, LruLockSkipsCountsContendedTouches) {
   stop.store(true, std::memory_order_release);
   writer.join();
   EXPECT_EQ(failed_hits, 0u);  // Skips never turn hits into misses.
+}
+
+TEST(ShardedCacheTest, SharedValuesOutliveOverwriteAndEviction) {
+  // The record cache and the alignment memo hold shared_ptr values and
+  // hand them out: Get copies the pointer, so its reference-count
+  // increment must happen while the epoch pin keeps the node, and the
+  // pointer it owns, alive. Readers keep what they Get while one writer
+  // overwrites and evicts the same keys, so the nodes that owned those
+  // payloads are retired and reclaimed under them; every payload must
+  // read intact afterwards, and each must be freed exactly once.
+  struct Payload {
+    Payload(uint64_t k, uint64_t v, std::atomic<int64_t>* live_count)
+        : key(k), version(v), words(16), live(live_count) {
+      for (size_t i = 0; i < words.size(); ++i) words[i] = Word(i);
+      live->fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Payload() {
+      words.assign(words.size(), 0);
+      live->fetch_sub(1, std::memory_order_relaxed);
+    }
+    uint64_t Word(size_t i) const {
+      return key * 1000003 + version * 31 + i + 1;
+    }
+    bool Intact(uint64_t want_key) const {
+      if (key != want_key || words.size() != 16) return false;
+      for (size_t i = 0; i < words.size(); ++i) {
+        if (words[i] != Word(i)) return false;
+      }
+      return true;
+    }
+    uint64_t key;
+    uint64_t version;
+    std::vector<uint64_t> words;
+    std::atomic<int64_t>* live;
+  };
+  using Value = std::shared_ptr<const Payload>;
+
+  uint64_t seed = 1234;
+  if (const char* env = std::getenv("SAMA_TORTURE_SEED")) {
+    seed = std::stoull(env);
+  }
+  constexpr uint64_t kKeys = 64;  // Four times the capacity: evictions.
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerThread = 50000;
+  constexpr size_t kHeld = 8;
+  std::atomic<int64_t> live{0};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<int> readers_done{0};
+  {
+    EpochManager epochs;
+    ShardedLruCache<uint64_t, Value> cache(16, 4, &epochs);
+    uint64_t version = 0;
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      cache.Put(key, std::make_shared<const Payload>(key, ++version, &live));
+    }
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        uint64_t state = seed * 0x9e3779b97f4a7c15ULL + r + 1;
+        // (key, payload) pairs kept past the writer's overwrites.
+        std::vector<std::pair<uint64_t, Value>> held(kHeld);
+        for (int i = 0; i < kReadsPerThread; ++i) {
+          state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+          const uint64_t key = (state >> 33) % kKeys;
+          Value got;
+          if (cache.Get(key, &got)) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+            if (!got->Intact(key)) bad.fetch_add(1);
+            held[i % kHeld] = {key, std::move(got)};
+          }
+          const auto& [old_key, old] = held[(i * 5) % kHeld];
+          if (old != nullptr && !old->Intact(old_key)) bad.fetch_add(1);
+        }
+        for (const auto& [old_key, old] : held) {
+          if (old != nullptr && !old->Intact(old_key)) bad.fetch_add(1);
+        }
+        readers_done.fetch_add(1, std::memory_order_release);
+      });
+    }
+    uint64_t state = seed;
+    while (readers_done.load(std::memory_order_acquire) < kReaders) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint64_t key = (state >> 33) % kKeys;
+      cache.Put(key, std::make_shared<const Payload>(key, ++version, &live));
+    }
+    for (std::thread& t : readers) t.join();
+    EXPECT_GT(epochs.stats().reclaimed, 0u);  // Retired nodes were freed.
+  }
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  // The cache, its retired nodes and every reader's copies are gone.
+  EXPECT_EQ(live.load(), 0);
 }
 
 }  // namespace

@@ -27,10 +27,12 @@ TEST(ThreadPoolTest, WorkerCountClampsToOne) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after what its tasks use, so it joins them first: the wait
+  // can return before the last task has notified.
+  ThreadPool pool(4);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
-
 namespace sama {
 namespace {
 
@@ -45,52 +43,6 @@ TEST(ZipfTest, WeightsMatchClosedForm) {
   EXPECT_DOUBLE_EQ(w[0], 1.0 / z);
   EXPECT_DOUBLE_EQ(w[1], (1.0 / std::pow(2.0, s)) / z);
   EXPECT_DOUBLE_EQ(w[2], (1.0 / std::pow(3.0, s)) / z);
-}
-
-TEST(ZipfTest, IndexForClampsAndNeverFallsOffTheEnd) {
-  // Weights whose cumulative sum falls short of 1 by round-off: a draw
-  // above the last cumulative value must land in the LAST bucket. The
-  // linear walk this replaced fell through to the same answer only by
-  // an explicit fallback; here the clamp is the contract under test.
-  ZipfSampler sampler({0.3, 0.3, 0.4 - 1e-12});
-  EXPECT_EQ(sampler.IndexFor(0.0), 0u);
-  EXPECT_EQ(sampler.IndexFor(0.3), 1u);  // Boundary goes to the next bucket.
-  EXPECT_EQ(sampler.IndexFor(0.95), 2u);
-  EXPECT_EQ(sampler.IndexFor(1.0 - 1e-13), 2u);   // Inside the shortfall gap.
-  EXPECT_EQ(sampler.IndexFor(std::nextafter(1.0, 0.0)), 2u);
-}
-
-TEST(ZipfTest, ZeroWeightEntriesAreNeverSampled) {
-  ZipfSampler sampler({0.5, 0.0, 0.5});
-  Random rng(7);
-  for (int i = 0; i < 2000; ++i) {
-    size_t qi = sampler.Sample(&rng);
-    EXPECT_NE(qi, 1u);
-    EXPECT_LT(qi, 3u);
-  }
-}
-
-TEST(ZipfTest, SeededSamplingMatchesWeights) {
-  std::vector<std::string> names = {"Q1", "Q2", "Q3", "Q4", "Q5"};
-  std::vector<double> w = ZipfWeights(names, 1.0);
-  ZipfSampler sampler(w);
-  Random rng(1234);
-  const int kDraws = 200000;
-  std::vector<int> counts(names.size(), 0);
-  for (int i = 0; i < kDraws; ++i) {
-    size_t qi = sampler.Sample(&rng);
-    ASSERT_LT(qi, names.size());
-    ++counts[qi];
-  }
-  for (size_t i = 0; i < names.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / kDraws, w[i], 0.01)
-        << "index " << i;
-  }
-  // Same seed, same stream: the draw sequence is reproducible.
-  Random rng_a(99), rng_b(99);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(sampler.Sample(&rng_a), sampler.Sample(&rng_b));
-  }
 }
 
 }  // namespace

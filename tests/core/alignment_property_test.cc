@@ -4,7 +4,9 @@
 //     full alignment and comparing (aborted ⟺ full λ ≥ cutoff);
 //   * AlignmentMemo::AlignCached is indistinguishable from Align() in
 //     both alignment modes, for any cutoff, whatever state the memo is
-//     in (empty, primed with a full entry, primed with an aborted one);
+//     in (empty, primed with a full entry, primed with an aborted one),
+//     to a caller that reads λ ≥ cutoff as aborted, and a hit hands out
+//     the memoized entry itself;
 //   * the DP alignment never costs more than the greedy scan on
 //     conflict-free queries (its optimality claim).
 // 1200+ seeded cases keep the sweep deterministic and minutes-safe.
@@ -138,13 +140,13 @@ TEST_F(AlignmentPropertyTest, MemoizedEqualsDirectInBothModes) {
       std::string context =
           "mode " + std::to_string(static_cast<int>(mode)) + " case " +
           std::to_string(i);
-      // Miss (computes + stores), then hit (served from the memo).
-      PathAlignment first = memo.AlignCached(static_cast<uint64_t>(i), pair.p,
-                                             pair.q, cmp_, params);
-      PathAlignment second = memo.AlignCached(static_cast<uint64_t>(i), pair.p,
-                                              pair.q, cmp_, params);
-      ExpectSameAlignment(first, direct, context + " (miss)");
-      ExpectSameAlignment(second, direct, context + " (hit)");
+      // Miss (computes + stores), then hit (the stored entry itself).
+      std::shared_ptr<const PathAlignment> first = memo.AlignCached(
+          static_cast<uint64_t>(i), pair.p, pair.q, cmp_, params);
+      std::shared_ptr<const PathAlignment> second = memo.AlignCached(
+          static_cast<uint64_t>(i), pair.p, pair.q, cmp_, params);
+      ExpectSameAlignment(*first, direct, context + " (miss)");
+      EXPECT_EQ(second, first) << context << " (hit)";
     }
     CacheCounters c = memo.counters();
     EXPECT_EQ(c.hits, 600u);
@@ -160,19 +162,23 @@ TEST_F(AlignmentPropertyTest, MemoizedFullEntryAnswersAnyCutoff) {
     PathPair pair = MakePair(rng, dict_.get(), i);
     uint64_t id = static_cast<uint64_t>(i);
     // Prime the memo with the FULL alignment, then ask under cutoffs.
-    PathAlignment full = memo.AlignCached(id, pair.p, pair.q, cmp_, params);
-    const double cutoffs[] = {0.0, full.lambda * 0.5, full.lambda,
-                              full.lambda + 0.25, kInf};
+    std::shared_ptr<const PathAlignment> full =
+        memo.AlignCached(id, pair.p, pair.q, cmp_, params);
+    const double cutoffs[] = {0.0, full->lambda * 0.5, full->lambda,
+                              full->lambda + 0.25, kInf};
     for (double cutoff : cutoffs) {
       PathAlignment direct = Align(pair.p, pair.q, cmp_, params, cutoff);
-      PathAlignment cached =
+      std::shared_ptr<const PathAlignment> cached =
           memo.AlignCached(id, pair.p, pair.q, cmp_, params, cutoff);
       std::string context = "case " + std::to_string(i) + " cutoff " +
                             std::to_string(cutoff);
-      EXPECT_EQ(cached.aborted, direct.aborted) << context;
+      // Served as stored: a λ at or past the cutoff reads as aborted.
+      EXPECT_EQ(cached, full) << context;
+      EXPECT_EQ(cached->aborted || cached->lambda >= cutoff, direct.aborted)
+          << context;
       // Callers never read φ/τ/λ of an aborted alignment (ScoreChunk
       // discards it), so equality is only required on survivors.
-      if (!direct.aborted) ExpectSameAlignment(cached, direct, context);
+      if (!direct.aborted) ExpectSameAlignment(*cached, direct, context);
     }
   }
 }
@@ -188,26 +194,28 @@ TEST_F(AlignmentPropertyTest, MemoizedAbortedEntryHandlesLooserAndStricter) {
     // Prime with an ABORTED entry (cutoff at half the full λ).
     AlignmentMemo memo(64);
     double strict = full.lambda * 0.5;
-    PathAlignment primed =
+    std::shared_ptr<const PathAlignment> primed =
         memo.AlignCached(id, pair.p, pair.q, cmp_, params, strict);
-    ASSERT_TRUE(primed.aborted) << "case " << i;
+    ASSERT_TRUE(primed->aborted) << "case " << i;
     // A cutoff at or below the memoized partial λ would abort too:
     // served without recomputation.
-    PathAlignment stricter = memo.AlignCached(id, pair.p, pair.q, cmp_, params,
-                                              primed.lambda * 0.5);
-    EXPECT_TRUE(stricter.aborted) << "case " << i;
+    std::shared_ptr<const PathAlignment> stricter = memo.AlignCached(
+        id, pair.p, pair.q, cmp_, params, primed->lambda * 0.5);
+    EXPECT_EQ(stricter, primed) << "case " << i;
     // A looser cutoff the partial λ cannot answer must recompute; the
     // oracle is the direct call.
     double loose = full.lambda + 1.0;
     PathAlignment direct = Align(pair.p, pair.q, cmp_, params, loose);
-    PathAlignment cached =
+    std::shared_ptr<const PathAlignment> cached =
         memo.AlignCached(id, pair.p, pair.q, cmp_, params, loose);
     ASSERT_FALSE(direct.aborted) << "case " << i;
-    ExpectSameAlignment(cached, direct, "case " + std::to_string(i));
-    // The recomputed (now full) entry upgrades the memo in place.
-    PathAlignment again =
-        memo.AlignCached(id, pair.p, pair.q, cmp_, params, loose);
-    ExpectSameAlignment(again, direct, "case " + std::to_string(i) + " again");
+    ExpectSameAlignment(*cached, direct, "case " + std::to_string(i));
+    // The recomputed (now full) entry replaced the aborted one.
+    EXPECT_EQ(memo.AlignCached(id, pair.p, pair.q, cmp_, params, loose),
+              cached)
+        << "case " << i;
+    // The aborted entry a caller still holds is unchanged.
+    EXPECT_TRUE(primed->aborted) << "case " << i;
   }
 }
 

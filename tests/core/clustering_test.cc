@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
-#include <map>
-
+#include "core/alignment.h"
+#include "core/label_comparator.h"
 #include "testing/fixtures.h"
 
 namespace sama {
@@ -52,12 +53,12 @@ TEST_F(ClusteringTest, Cl1MatchesFigure3) {
   ASSERT_GE(cl1.size(), 6u);
   // Figure 3: p1 = CB-sponsor-A0056-aTo-B1432-subject-HC scores [0],
   // the other five length-4 chains score [1].
-  EXPECT_EQ(env_.Render(cl1.paths[0].path),
+  EXPECT_EQ(env_.Render(*cl1.paths[0].path),
             "CarlaBunes-sponsor-A0056-aTo-B1432-subject-Health Care");
   EXPECT_DOUBLE_EQ(cl1.paths[0].lambda(), 0.0);
   for (size_t i = 1; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(cl1.paths[i].lambda(), 1.0) << i;
-    EXPECT_EQ(cl1.paths[i].path.length(), 4u);
+    EXPECT_EQ(cl1.paths[i].path->length(), 4u);
   }
 }
 
@@ -70,11 +71,11 @@ TEST_F(ClusteringTest, Cl2MatchesFigure3) {
   ASSERT_EQ(cl2.size(), 10u);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(cl2.paths[i].lambda(), 0.0) << i;
-    EXPECT_EQ(cl2.paths[i].path.length(), 3u);
+    EXPECT_EQ(cl2.paths[i].path->length(), 3u);
   }
   for (size_t i = 4; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(cl2.paths[i].lambda(), 1.5) << i;
-    EXPECT_EQ(cl2.paths[i].path.length(), 4u);
+    EXPECT_EQ(cl2.paths[i].path->length(), 4u);
   }
 }
 
@@ -86,7 +87,7 @@ TEST_F(ClusteringTest, Cl3MatchesFigure3) {
   std::set<std::string> rendered;
   for (const ScoredPath& sp : cl3.paths) {
     EXPECT_DOUBLE_EQ(sp.lambda(), 0.0);
-    rendered.insert(env_.Render(sp.path));
+    rendered.insert(env_.Render(*sp.path));
   }
   EXPECT_EQ(rendered, (std::set<std::string>{
                           "JeffRyser-gender-Male", "KeithFarmer-gender-Male",
@@ -104,9 +105,9 @@ TEST_F(ClusteringTest, SamePathDifferentScoresAcrossClusters) {
       ClusterFor(clusters, "?v3-sponsor-?v2-subject-Health Care");
   std::map<std::string, double> cl2_scores;
   for (const ScoredPath& sp : cl2.paths) {
-    cl2_scores[env_.Render(sp.path)] = sp.lambda();
+    cl2_scores[env_.Render(*sp.path)] = sp.lambda();
   }
-  std::string p1 = env_.Render(cl1.paths[0].path);
+  std::string p1 = env_.Render(*cl1.paths[0].path);
   ASSERT_TRUE(cl2_scores.count(p1));
   EXPECT_DOUBLE_EQ(cl1.paths[0].lambda(), 0.0);
   EXPECT_DOUBLE_EQ(cl2_scores[p1], 1.5);
@@ -195,6 +196,76 @@ TEST_F(ClusteringTest, UnmatchableSinkYieldsEmptyCluster) {
                                 ScoreParams(), ClusteringOptions());
   ASSERT_TRUE(clusters.ok());
   EXPECT_TRUE((*clusters)[0].empty());
+}
+
+// Warm clustering hands out the cached records and memoized alignments
+// themselves, and a cluster keeps what it points at alive: after the
+// record cache is dropped and the memo has evicted every entry, an
+// older cluster still reads exactly as a fresh build does.
+TEST_F(ClusteringTest, WarmClustersShareCachedRecordsAndAlignments) {
+  query_ = env_.Query1();
+  env_.index().ConfigureQueryCache(true);
+  constexpr size_t kMemoEntries = 64;
+  AlignmentMemo memo(kMemoEntries, /*shards=*/1);
+  QueryCaches caches;
+  caches.alignment_memo = &memo;
+  auto build = [&] {
+    auto clusters = BuildClusters(query_, env_.index(), &env_.thesaurus(),
+                                  ScoreParams(), ClusteringOptions(), nullptr,
+                                  nullptr, nullptr, nullptr, &caches);
+    EXPECT_TRUE(clusters.ok()) << clusters.status();
+    return std::move(clusters).value();
+  };
+  const std::vector<Cluster> first = build();
+  const std::vector<Cluster> second = build();
+  ASSERT_EQ(first.size(), second.size());
+  size_t candidates = 0;
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].size(), second[i].size()) << i;
+    for (size_t j = 0; j < first[i].size(); ++j) {
+      const ScoredPath& a = first[i].paths[j];
+      const ScoredPath& b = second[i].paths[j];
+      EXPECT_EQ(a.id, b.id);
+      EXPECT_EQ(a.path.get(), b.path.get()) << i << "/" << j;
+      EXPECT_EQ(a.alignment.get(), b.alignment.get()) << i << "/" << j;
+      ++candidates;
+    }
+  }
+  ASSERT_GT(candidates, 0u);
+  ASSERT_LE(candidates, kMemoEntries);  // The warm build hit every entry.
+
+  // Drop the records; push every memoized alignment out with unrelated
+  // ids (one shard, so kMemoEntries inserts evict all of them).
+  env_.index().DropQueryCaches();
+  LabelComparator cmp(&query_.dict(), &env_.thesaurus());
+  const Path& p = *first[0].paths[0].path;
+  for (uint64_t id = 0; id < kMemoEntries; ++id) {
+    (void)memo.AlignCached(uint64_t{1} << 40 | id, p, query_.paths()[0], cmp,
+                           ScoreParams());
+  }
+  ASSERT_GE(memo.counters().evictions, candidates);
+
+  const std::vector<Cluster> fresh = build();
+  ASSERT_EQ(first.size(), fresh.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].size(), fresh[i].size()) << i;
+    for (size_t j = 0; j < first[i].size(); ++j) {
+      const ScoredPath& old = first[i].paths[j];
+      const ScoredPath& now = fresh[i].paths[j];
+      const std::string where = std::to_string(i) + "/" + std::to_string(j);
+      EXPECT_EQ(old.id, now.id) << where;
+      // Fresh reads, equal content.
+      EXPECT_NE(old.path.get(), now.path.get()) << where;
+      EXPECT_NE(old.alignment.get(), now.alignment.get()) << where;
+      EXPECT_EQ(old.path->nodes, now.path->nodes) << where;
+      EXPECT_EQ(*old.path, *now.path) << where;
+      EXPECT_EQ(old.alignment->lambda, now.alignment->lambda) << where;
+      EXPECT_EQ(old.alignment->aborted, now.alignment->aborted) << where;
+      EXPECT_EQ(old.alignment->tau.ops(), now.alignment->tau.ops()) << where;
+      EXPECT_EQ(old.alignment->phi.bindings(), now.alignment->phi.bindings())
+          << where;
+    }
+  }
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ class ForestSearchTest : public testing::Test {
   std::set<std::string> AnswerPathSet(const Answer& a) {
     std::set<std::string> out;
     for (const ScoredPath& part : a.parts) {
-      out.insert(env_.Render(part.path));
+      out.insert(env_.Render(*part.path));
     }
     return out;
   }

@@ -54,9 +54,9 @@ TEST(PathIndexPersistenceTest, ReopenedIndexAnswersIdentically) {
       reopened.PathsWithSinkMatching(Term::Literal("Man"), &thesaurus)
           .size(),
       4u);
-  Path p;
+  std::shared_ptr<const Path> p;
   ASSERT_TRUE(reopened.GetPath(0, &p).ok());
-  EXPECT_GE(p.length(), 2u);
+  EXPECT_GE(p->length(), 2u);
 }
 
 TEST(PathIndexPersistenceTest, FullEngineOverReopenedIndex) {

@@ -25,8 +25,8 @@ std::set<std::string> LivePaths(const PathIndex& index,
                                 const DataGraph& graph) {
   std::set<std::string> out;
   for (PathId id = 0; id < index.path_count(); ++id) {
-    Path p;
-    if (index.GetPath(id, &p).ok()) out.insert(p.ToString(graph.dict()));
+    std::shared_ptr<const Path> p;
+    if (index.GetPath(id, &p).ok()) out.insert(p->ToString(graph.dict()));
   }
   return out;
 }

@@ -94,9 +94,9 @@ TEST_P(PathIndexTest, GetPathRoundTrips) {
   ASSERT_TRUE(index.Build(g, Opts()).ok());
   std::set<std::string> rendered;
   for (PathId id = 0; id < index.path_count(); ++id) {
-    Path p;
+    std::shared_ptr<const Path> p;
     ASSERT_TRUE(index.GetPath(id, &p).ok());
-    rendered.insert(p.ToString(g.dict()));
+    rendered.insert(p->ToString(g.dict()));
   }
   EXPECT_EQ(rendered.size(), 19u);
   EXPECT_TRUE(rendered.count(
@@ -121,9 +121,9 @@ TEST_P(PathIndexTest, DropCachesKeepsDataReadable) {
   PathIndex index;
   ASSERT_TRUE(index.Build(g, Opts()).ok());
   ASSERT_TRUE(index.DropCaches().ok());
-  Path p;
+  std::shared_ptr<const Path> p;
   ASSERT_TRUE(index.GetPath(0, &p).ok());
-  EXPECT_GE(p.length(), 2u);
+  EXPECT_GE(p->length(), 2u);
 }
 
 TEST_P(PathIndexTest, EnumerationCapsRespected) {
@@ -157,11 +157,11 @@ TEST(PathIndexThreadsTest, ConcurrentBuildMatchesSequential) {
   // Same multiset of paths regardless of worker interleaving.
   std::multiset<std::string> a, b;
   for (PathId id = 0; id < seq.path_count(); ++id) {
-    Path p;
+    std::shared_ptr<const Path> p;
     ASSERT_TRUE(seq.GetPath(id, &p).ok());
-    a.insert(p.ToString(g1.dict()));
+    a.insert(p->ToString(g1.dict()));
     ASSERT_TRUE(par.GetPath(id, &p).ok());
-    b.insert(p.ToString(g2.dict()));
+    b.insert(p->ToString(g2.dict()));
   }
   EXPECT_EQ(a, b);
 }

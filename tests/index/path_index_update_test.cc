@@ -23,8 +23,8 @@ std::set<std::string> LivePaths(const PathIndex& index,
                                 const DataGraph& graph) {
   std::set<std::string> out;
   for (PathId id = 0; id < index.path_count(); ++id) {
-    Path p;
-    if (index.GetPath(id, &p).ok()) out.insert(p.ToString(graph.dict()));
+    std::shared_ptr<const Path> p;
+    if (index.GetPath(id, &p).ok()) out.insert(p->ToString(graph.dict()));
   }
   return out;
 }
@@ -105,9 +105,9 @@ TEST_F(PathIndexUpdateTest, ExtendingASourceTombstonesOldPaths) {
       index_.PathsContaining(Gov("CarlaBunes"), nullptr);
   ASSERT_FALSE(via_cb.empty());
   for (PathId id : via_cb) {
-    Path p;
+    std::shared_ptr<const Path> p;
     ASSERT_TRUE(index_.GetPath(id, &p).ok());
-    EXPECT_EQ(graph_.node_term(p.nodes.front()).DisplayLabel(),
+    EXPECT_EQ(graph_.node_term(p->nodes.front()).DisplayLabel(),
               "Committee7");
   }
 }

@@ -60,12 +60,12 @@ TEST(CyclicGraphTest, UobmPathsStaySimple) {
   PathIndex index;
   ASSERT_TRUE(index.Build(graph, options).ok());
   // Every stored path visits each node at most once.
-  Path p;
+  std::shared_ptr<const Path> p;
   for (PathId id = 0; id < index.path_count(); ++id) {
     ASSERT_TRUE(index.GetPath(id, &p).ok());
-    std::set<NodeId> distinct(p.nodes.begin(), p.nodes.end());
-    ASSERT_EQ(distinct.size(), p.nodes.size()) << id;
-    ASSERT_LE(p.length(), 8u);
+    std::set<NodeId> distinct(p->nodes.begin(), p->nodes.end());
+    ASSERT_EQ(distinct.size(), p->nodes.size()) << id;
+    ASSERT_LE(p->length(), 8u);
   }
 }
 

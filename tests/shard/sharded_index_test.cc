@@ -97,12 +97,12 @@ TEST_F(ShardedIndexTest, GlobalIdsReproduceTheSingleIndexSpace) {
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
     uint64_t count = sharded.shard(s)->path_count();
     for (uint64_t local = 0; local < count; local += 7) {
-      Path from_shard, from_single;
+      std::shared_ptr<const Path> from_shard, from_single;
       ASSERT_TRUE(sharded.shard(s)->GetPath(local, &from_shard).ok());
       ASSERT_TRUE(
           single.GetPath(sharded.global_ids(s)[local], &from_single).ok());
-      EXPECT_EQ(from_shard.ToString(graph_.dict()),
-                from_single.ToString(graph_.dict()));
+      EXPECT_EQ(from_shard->ToString(graph_.dict()),
+                from_single->ToString(graph_.dict()));
     }
   }
 }

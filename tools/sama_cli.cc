@@ -894,7 +894,7 @@ void PrintAnswer(const sama::DataGraph& graph, size_t rank,
   }
   for (const sama::ScoredPath& part : answer.parts) {
     std::printf("    %s [%.2f]\n",
-                part.path.ToString(graph.dict()).c_str(), part.lambda());
+                part.path->ToString(graph.dict()).c_str(), part.lambda());
   }
 }
 
