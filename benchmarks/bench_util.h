@@ -18,8 +18,9 @@ namespace sama {
 namespace bench {
 
 // JSON has no literal for inf/nan; fprintf would happily emit "inf"
-// and break every downstream consumer (json.load in the regression
-// checker rejects it). Clamp every ratio before it reaches a %.4f.
+// and break every reader of the bench_wal, bench_readers and bench_obs
+// artifacts (Python's json.load rejects it). Clamp every ratio before
+// it reaches a %.4f.
 // Trivial queries make this real: a near-zero denominator pushes the
 // raw ratio to inf even when both operands are "guarded" against 0.
 inline double FiniteOr(double v, double fallback = 0.0) {

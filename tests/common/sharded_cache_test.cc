@@ -197,7 +197,9 @@ TEST(ShardedCacheTest, LruLockSkipsCountsContendedTouches) {
   std::thread writer([&] {
     int spin = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      cache.Put(2 + (spin++ % 4), spin);
+      int key = 2 + spin % 4;
+      ++spin;
+      cache.Put(key, spin);
     }
   });
   uint64_t failed_hits = 0;

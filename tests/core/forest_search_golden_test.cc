@@ -4,7 +4,11 @@
 // the truncation flag and a hash of the lossless ranked-answer signature
 // must equal the line recorded in tests/data/forest_search.golden. Both
 // budgets truncate some queries, so this also pins the anytime answers
-// that the pruned-vs-exhaustive suite skips. Every case runs at 1 and at
+// that the pruned-vs-exhaustive suite skips. The last 24 lines are
+// Figure 6's configuration (bench_fig6_query_time at the default
+// SAMA_BENCH_SCALE): LUBM with 3 universities, Q1-Q12 at k = 10 under a
+// 500,000-expansion budget, pruning on and off, without SELECT dedup or
+// FILTER, as SamaEngine::Execute runs them. Every case runs at 1 and at
 // 4 threads against the same line.
 //
 // The reference must not be regenerated to make a kernel change pass:
@@ -37,9 +41,17 @@
 namespace sama {
 namespace {
 
-constexpr size_t kTopK[] = {1, 5, 20};
-constexpr size_t kBudgets[] = {2000, 50000};
 constexpr bool kPrune[] = {true, false};
+
+// The (k, budget) pairs one dataset's queries run at, each with pruning
+// on and off.
+struct Grid {
+  std::vector<size_t> top_k;
+  std::vector<size_t> budgets;
+  // ExecuteSparql's projection and FILTER semantics; off for
+  // SamaEngine::Execute.
+  bool sparql = true;
+};
 
 uint64_t Fnv1a(const std::string& text) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -98,7 +110,8 @@ class GoldenEnv {
 
   // Appends one line per (k, budget, prune) case of `q`, checking that
   // the 4-thread run matches the 1-thread one it is recorded from.
-  void Run(const BenchmarkQuery& q, ThreadPool* pool, std::string* lines) {
+  void Run(const BenchmarkQuery& q, const Grid& grid, ThreadPool* pool,
+           std::string* lines) {
     auto parsed = ParseSparql(q.sparql);
     ASSERT_TRUE(parsed.ok()) << q.name << ": " << parsed.status();
     QueryGraph query = parsed->ToQueryGraph(graph_.shared_dict());
@@ -108,17 +121,18 @@ class GoldenEnv {
         BuildClusters(query, index_, &thesaurus_, params, ClusteringOptions());
     ASSERT_TRUE(clusters.ok()) << q.name << ": " << clusters.status();
 
-    // ExecuteSparql's projection and FILTER semantics.
     ForestSearchOptions options;
-    if (!parsed->select_all) options.dedup_vars = parsed->select_vars;
-    if (!parsed->filters.empty()) {
+    if (grid.sparql && !parsed->select_all) {
+      options.dedup_vars = parsed->select_vars;
+    }
+    if (grid.sparql && !parsed->filters.empty()) {
       options.binding_filter = [filters = parsed->filters](
                                    const Substitution& binding) {
         return PassesFilters(filters, binding);
       };
     }
-    for (size_t k : kTopK) {
-      for (size_t budget : kBudgets) {
+    for (size_t k : grid.top_k) {
+      for (size_t budget : grid.budgets) {
         for (bool prune : kPrune) {
           options.k = k;
           options.max_expansions = budget;
@@ -160,13 +174,15 @@ class GoldenEnv {
 
 TEST(ForestSearchGoldenTest, WorkAndAnswersMatchReference) {
   ThreadPool pool(3);  // With the calling thread: 4 threads.
+  const Grid sparql{{1, 5, 20}, {2000, 50000}, /*sparql=*/true};
+  const Grid fig6{{10}, {500000}, /*sparql=*/false};
   std::string lines;
   {
     LubmConfig config;
     config.universities = 1;
     GoldenEnv env(GenerateLubm(config));
     for (const BenchmarkQuery& q : MakeLubmQueries()) {
-      env.Run(q, &pool, &lines);
+      env.Run(q, sparql, &pool, &lines);
     }
   }
   {
@@ -174,7 +190,15 @@ TEST(ForestSearchGoldenTest, WorkAndAnswersMatchReference) {
     config.products = 100;
     GoldenEnv env(GenerateBerlin(config));
     for (const BenchmarkQuery& q : MakeBerlinQueries()) {
-      env.Run(q, &pool, &lines);
+      env.Run(q, sparql, &pool, &lines);
+    }
+  }
+  {
+    LubmConfig config;
+    config.universities = 3;
+    GoldenEnv env(GenerateLubm(config));
+    for (const BenchmarkQuery& q : MakeLubmQueries()) {
+      env.Run(q, fig6, &pool, &lines);
     }
   }
 
@@ -193,7 +217,7 @@ TEST(ForestSearchGoldenTest, WorkAndAnswersMatchReference) {
   }
   EXPECT_FALSE(std::getline(want, want_line))
       << "the reference has more cases than were run";
-  EXPECT_EQ(n, (12u + 6u) * 3u * 2u * 2u);
+  EXPECT_EQ(n, (12u + 6u) * 3u * 2u * 2u + 12u * 2u);
   if (mismatched != 0) std::printf("computed reference:\n%s", lines.c_str());
 }
 

@@ -1,12 +1,12 @@
 // The two profile renderers are external contracts — humans read the
 // EXPLAIN ANALYZE tree, Perfetto parses the Chrome trace JSON — so both
 // are locked against golden files built from a fixed synthetic profile.
-// Regenerate with `./build/tools/gen_obs_goldens tests/data` (which
-// duplicates MakeGoldenProfile below — keep them in sync) only when the
-// format changes deliberately.
+// On a mismatch the test prints the rendered text raw; only when the
+// format changes deliberately does that text replace the golden file.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,12 +26,12 @@ namespace {
 // byte + io counters on clustering, expansions on search.
 QueryProfile MakeGoldenProfile(bool truncated = false) {
   std::vector<TraceSpan> spans = {
-      {1, 0, "query", 0.0, 10.0, 0},
-      {2, 1, "preprocess", 0.1, 1.0, 0},
-      {3, 1, "clustering", 1.2, 5.0, 0},
-      {4, 3, "score_chunk", 1.3, 2.0, 0},
-      {5, 3, "score_chunk", 1.4, 2.5, 1},
-      {6, 1, "search", 6.3, 3.5, 0},
+      {1, 0, "query", 0.0, 10.0, 0, {}},
+      {2, 1, "preprocess", 0.1, 1.0, 0, {}},
+      {3, 1, "clustering", 1.2, 5.0, 0, {}},
+      {4, 3, "score_chunk", 1.3, 2.0, 0, {}},
+      {5, 3, "score_chunk", 1.4, 2.5, 1, {}},
+      {6, 1, "search", 6.3, 3.5, 0, {}},
   };
   ProfileSummary summary;
   summary.label = "demo";
@@ -58,27 +58,29 @@ QueryProfile MakeGoldenProfile(bool truncated = false) {
   return QueryProfile::Build(std::move(spans), std::move(summary), phases);
 }
 
-std::string ReadGolden(const std::string& name) {
+// Compares `rendered` with tests/data/`name`; on a mismatch prints the
+// rendered text raw, ready to become the golden file.
+void ExpectMatchesGolden(const std::string& rendered,
+                         const std::string& name) {
   std::string path = std::string(SAMA_TEST_DATA_DIR) + "/" + name;
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << "missing golden file " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(rendered, golden.str()) << "format drifted from " << path;
+  if (rendered != golden.str()) {
+    std::printf("rendered %s:\n%s", name.c_str(), rendered.c_str());
+  }
 }
 
 TEST(ExporterTest, ExplainAnalyzeMatchesGolden) {
-  EXPECT_EQ(RenderExplainAnalyze(MakeGoldenProfile()),
-            ReadGolden("obs_explain.golden"))
-      << "EXPLAIN ANALYZE format drifted. If deliberate, regenerate "
-         "tests/data/obs_explain.golden.";
+  ExpectMatchesGolden(RenderExplainAnalyze(MakeGoldenProfile()),
+                      "obs_explain.golden");
 }
 
 TEST(ExporterTest, ChromeTraceMatchesGolden) {
-  EXPECT_EQ(RenderChromeTrace(MakeGoldenProfile()),
-            ReadGolden("obs_profile_trace.golden"))
-      << "Chrome trace-event format drifted. If deliberate, regenerate "
-         "tests/data/obs_profile_trace.golden.";
+  ExpectMatchesGolden(RenderChromeTrace(MakeGoldenProfile()),
+                      "obs_profile_trace.golden");
 }
 
 TEST(ExporterTest, ExplainFlagsTruncatedSearch) {
@@ -89,7 +91,8 @@ TEST(ExporterTest, ExplainFlagsTruncatedSearch) {
 }
 
 TEST(ExporterTest, ChromeTraceEscapesSpanNames) {
-  std::vector<TraceSpan> spans = {{1, 0, "odd\"name\\here", 0.0, 1.0, 0}};
+  std::vector<TraceSpan> spans = {
+      {1, 0, "odd\"name\\here", 0.0, 1.0, 0, {}}};
   QueryProfile profile =
       QueryProfile::Build(std::move(spans), ProfileSummary{}, {});
   std::string out = RenderChromeTrace(profile);

@@ -25,12 +25,12 @@ const ProfileNode* FindNode(const QueryProfile& profile,
 // chunk spans from two threads under clustering.
 QueryProfile BuildEngineShape() {
   std::vector<TraceSpan> spans = {
-      {1, 0, "query", 0.0, 10.0, 0},
-      {2, 1, "preprocess", 0.1, 1.0, 0},
-      {3, 1, "clustering", 1.2, 5.0, 0},
-      {4, 3, "score_chunk", 1.3, 2.0, 0},
-      {5, 3, "score_chunk", 1.4, 2.5, 1},
-      {6, 1, "search", 6.3, 3.5, 0},
+      {1, 0, "query", 0.0, 10.0, 0, {}},
+      {2, 1, "preprocess", 0.1, 1.0, 0, {}},
+      {3, 1, "clustering", 1.2, 5.0, 0, {}},
+      {4, 3, "score_chunk", 1.3, 2.0, 0, {}},
+      {5, 3, "score_chunk", 1.4, 2.5, 1, {}},
+      {6, 1, "search", 6.3, 3.5, 0, {}},
   };
   return QueryProfile::Build(std::move(spans), ProfileSummary{}, {});
 }
@@ -70,9 +70,9 @@ TEST(QueryProfileTest, SelfTimeClampsWhenParallelChildrenOverlap) {
   // Two 8ms children of a 10ms parent (they overlapped on different
   // threads): self clamps to 0 instead of going to -6.
   std::vector<TraceSpan> spans = {
-      {1, 0, "phase", 0.0, 10.0, 0},
-      {2, 1, "work", 0.5, 8.0, 0},
-      {3, 1, "work", 0.5, 8.0, 1},
+      {1, 0, "phase", 0.0, 10.0, 0, {}},
+      {2, 1, "work", 0.5, 8.0, 0, {}},
+      {3, 1, "work", 0.5, 8.0, 1, {}},
   };
   QueryProfile profile =
       QueryProfile::Build(std::move(spans), ProfileSummary{}, {});
@@ -83,11 +83,11 @@ TEST(QueryProfileTest, SelfTimeClampsWhenParallelChildrenOverlap) {
 
 TEST(QueryProfileTest, DanglingParentBecomesRootAndOpenSpanCountsZero) {
   std::vector<TraceSpan> spans = {
-      {1, 0, "query", 0.0, 5.0, 0},
+      {1, 0, "query", 0.0, 5.0, 0, {}},
       // Parent 99 was never recorded; still rendered, as a root.
-      {2, 99, "stray", 1.0, 2.0, 0},
+      {2, 99, "stray", 1.0, 2.0, 0, {}},
       // Open span (duration < 0) contributes zero wall.
-      {3, 1, "open_child", 1.0, -1.0, 0},
+      {3, 1, "open_child", 1.0, -1.0, 0, {}},
   };
   QueryProfile profile =
       QueryProfile::Build(std::move(spans), ProfileSummary{}, {});
@@ -116,8 +116,8 @@ TEST(QueryProfileTest, PhaseCountersAttachByName) {
   phases[1].counters.cache_hits = 999;
 
   std::vector<TraceSpan> spans = {
-      {1, 0, "query", 0.0, 10.0, 0},
-      {2, 1, "clustering", 1.0, 5.0, 0},
+      {1, 0, "query", 0.0, 10.0, 0, {}},
+      {2, 1, "clustering", 1.0, 5.0, 0, {}},
   };
   QueryProfile profile =
       QueryProfile::Build(std::move(spans), ProfileSummary{}, phases);
@@ -138,8 +138,8 @@ TEST(QueryProfileTest, SummaryAndSpansPreserved) {
   ProfileSummary summary;
   summary.label = "q1";
   summary.num_answers = 7;
-  std::vector<TraceSpan> spans = {{2, 1, "b", 1.0, 1.0, 0},
-                                  {1, 0, "a", 0.0, 2.0, 0}};
+  std::vector<TraceSpan> spans = {{2, 1, "b", 1.0, 1.0, 0, {}},
+                                  {1, 0, "a", 0.0, 2.0, 0, {}}};
   QueryProfile profile =
       QueryProfile::Build(std::move(spans), summary, {});
   EXPECT_EQ(profile.summary().label, "q1");

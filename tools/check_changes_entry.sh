@@ -1,41 +1,13 @@
 #!/usr/bin/env bash
 # Fails when the current branch does not add at least one line to
 # CHANGES.md relative to the merge base with the target branch
-# (default origin/main), or when the committed bench baseline that
-# check_bench_regression.py gates against is missing or not the JSON
-# shape the gate expects ('summary' + 'queries' keys). Run from
-# anywhere inside the repository.
+# (default origin/main). Run from anywhere inside the repository.
 #
 # Usage: tools/check_changes_entry.sh [BASE_REF]
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
 base_ref="${1:-origin/main}"
-
-# The committed baseline CI feeds to check_bench_regression.py. A
-# missing or malformed one would fail every future PR at the gate step,
-# so catch it at lint time, in the PR that broke it.
-artifact=benchmarks/BENCH_pr5_baseline.json
-if [ ! -f "$artifact" ]; then
-  echo "check_changes_entry: committed baseline '$artifact' is missing" >&2
-  exit 1
-fi
-if ! python3 - "$artifact" <<'EOF'
-import json, sys
-path = sys.argv[1]
-def reject(literal):
-    raise ValueError(f"non-finite JSON value {literal!r}")
-with open(path) as f:
-    artifact = json.load(f, parse_constant=reject)
-for key in ("summary", "queries"):
-    if key not in artifact:
-        raise SystemExit(f"{path}: missing key '{key}'")
-EOF
-then
-  echo "check_changes_entry: '$artifact' is not a valid bench baseline" >&2
-  exit 1
-fi
-echo "check_changes_entry: bench baseline '$artifact' present and valid"
 
 if ! git rev-parse --verify --quiet "$base_ref^{commit}" > /dev/null; then
   # Shallow clone or missing remote: lenient skip rather than a false
