@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/engine.h"
@@ -38,13 +39,26 @@ inline double EnvScale() {
   return v > 0 ? v : 1.0;
 }
 
-// A ready-to-query LUBM environment with a disk-backed index.
+// Owns a scratch directory: destroying the pointer removes the tree.
+struct DirRemover {
+  void operator()(const std::string* dir) const {
+    std::error_code ignored;
+    std::filesystem::remove_all(*dir, ignored);
+    delete dir;
+  }
+};
+using ScopedDir = std::unique_ptr<const std::string, DirRemover>;
+
+// A ready-to-query LUBM environment, optionally with a disk-backed
+// index under a scratch directory that is removed with the environment.
 struct LubmEnv {
+  // First member, so it is destroyed last: after the engine and the
+  // index have released their files.
+  ScopedDir dir;
   std::unique_ptr<DataGraph> graph;
   std::unique_ptr<PathIndex> index;
   Thesaurus thesaurus;
   std::unique_ptr<SamaEngine> engine;
-  std::string dir;
 };
 
 // `num_threads` configures intra-query parallelism (0 = hardware
@@ -59,11 +73,11 @@ inline LubmEnv MakeLubmEnv(size_t universities, bool on_disk,
   env.index = std::make_unique<PathIndex>();
   PathIndexOptions options;
   if (on_disk) {
-    env.dir = (std::filesystem::temp_directory_path() /
-               ("sama_bench_" + tag))
-                  .string();
-    std::filesystem::create_directories(env.dir);
-    options.dir = env.dir;
+    env.dir.reset(new std::string(
+        (std::filesystem::temp_directory_path() / ("sama_bench_" + tag))
+            .string()));
+    std::filesystem::create_directories(*env.dir);
+    options.dir = *env.dir;
   }
   Status s = env.index->Build(*env.graph, options);
   if (!s.ok()) {

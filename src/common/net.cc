@@ -69,4 +69,26 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
+Status ConnectTcp(const std::string& host, uint16_t port, int* fd) {
+  *fd = -1;
+  int sock = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (sock < 0) return Status::IoError("socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    ::close(sock);
+    return Status::InvalidArgument("unparseable host address: " + host);
+  }
+  if (::connect(sock, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    int err = errno;
+    ::close(sock);
+    return Status::IoError("connect to " + host + ":" + std::to_string(port) +
+                           " failed: " + std::strerror(err));
+  }
+  *fd = sock;
+  return Status::Ok();
+}
+
 }  // namespace sama

@@ -8,10 +8,11 @@
 
 namespace sama {
 
-// Shared POSIX listener setup for the embedded servers (ObsHttpServer
-// and BinaryQueryServer): socket + SO_REUSEADDR + bind + listen, with
-// ephemeral-port resolution so `port = 0` callers learn the bound
-// port. Centralised here so the two servers cannot drift on socket
+// Shared POSIX socket setup for the embedded servers (ObsHttpServer
+// and BinaryQueryServer) and their clients: socket + SO_REUSEADDR +
+// bind + listen, with ephemeral-port resolution so `port = 0` callers
+// learn the bound port, and the matching client-side connect.
+// Centralised here so the servers and clients cannot drift on socket
 // options or error reporting.
 struct ListenerOptions {
   std::string host = "127.0.0.1";
@@ -32,6 +33,11 @@ Status BindListener(const ListenerOptions& options, int* fd,
 
 // Sets O_NONBLOCK on an arbitrary fd (accepted connections).
 Status SetNonBlocking(int fd);
+
+// Opens a blocking TCP connection to `host` (an IPv4 dotted quad) on
+// `port`. On success *fd is the connected socket (close-on-exec); on
+// failure nothing is leaked and *fd is -1.
+Status ConnectTcp(const std::string& host, uint16_t port, int* fd);
 
 }  // namespace sama
 

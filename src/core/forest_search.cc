@@ -426,7 +426,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
       active_query_path.push_back(c.query_path_index);
       continue;
     }
-    if (!options.allow_partial) return std::vector<Answer>{};
     const Path& q = query.paths()[c.query_path_index];
     empty_penalty +=
         params.a() * static_cast<double>(q.node_labels.size()) +
@@ -728,7 +727,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
         answer.consistent = false;
       }
     }
-    if (options.require_consistent_bindings && !answer.consistent) return;
     if (options.binding_filter && !options.binding_filter(answer.binding)) {
       return;
     }
@@ -788,7 +786,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
                           ar.narrowed_chi[pos].data());
       }
       const size_t candidate_count = narrowed.count;
-      const std::vector<ScoredPath>& paths = active[order[pos]]->paths;
       for (size_t pick = 0; pick < candidate_count; ++pick) {
         const uint32_t idx = narrowed.ids != nullptr
                                  ? narrowed.ids[pick]
@@ -832,15 +829,6 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
             break;
           }
           psi_here += edge.psi[chi_p];
-        }
-        if (valid && options.require_consistent_bindings) {
-          const Substitution& phi = paths[idx].alignment->phi;
-          for (size_t j = 0; j < pos; ++j) {
-            if (!candidate(j, ar.choice[j]).alignment->phi.CompatibleWith(phi)) {
-              valid = false;
-              break;
-            }
-          }
         }
         if (!valid) continue;
         double full_bound = optimistic + psi_here - psi_lb_at[pos];

@@ -54,11 +54,6 @@ struct ForestSearchOptions {
   // Number of answers to produce; 0 = every combination the expansion
   // budget reaches (the paper's "without imposing the number k").
   size_t k = 10;
-  // Reject combinations whose variable bindings conflict. Off by
-  // default: the paper's approximation keeps such combinations and lets
-  // the conformity term Ψ rank them below conforming ones (the dashed
-  // forest edges of Figure 4).
-  bool require_consistent_bindings = false;
   // Require χ(pi, pj) > 0 for every intersection-query-graph edge whose
   // clusters are both non-empty — the paths of a solution must connect
   // the way the query's paths do ("the intersection query graph allows
@@ -66,10 +61,6 @@ struct ForestSearchOptions {
   // Figure-4 edge (ψ < 1) still connects; a pair sharing no node does
   // not. On by default.
   bool require_connected = true;
-  // Skip query paths with empty clusters, charging the cost of deleting
-  // the whole path (a per node, c per edge). When false, one empty
-  // cluster means no answers.
-  bool allow_partial = true;
   // Optional predicate over the merged bindings; answers failing it are
   // not kept (SPARQL FILTER support). Null = keep everything.
   std::function<bool(const Substitution&)> binding_filter;

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -30,6 +31,14 @@ void AppendU64(std::string* out, uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
+}
+
+// `,"key":v` — one numeric trace-event arg.
+void AppendArg(std::string* out, const char* key, uint64_t v) {
+  *out += ",\"";
+  *out += key;
+  *out += "\":";
+  AppendU64(out, v);
 }
 
 // " [cache 34 hit / 3 miss, pages 12 fetched / 2 read / 1 evicted,
@@ -105,6 +114,48 @@ void RenderNode(const QueryProfile& profile, size_t index,
   }
 }
 
+// The trace-event JSON both Chrome-trace renderers emit: the envelope,
+// process_name and thread_name metadata (thread 0 is
+// `first_thread_name`, the others workers), then one complete ("ph":"X")
+// event per span with span_id/parent args, to which `extra_args`
+// appends the span's own.
+std::string RenderTraceEvents(
+    const std::vector<TraceSpan>& spans, const std::string& process_name,
+    const char* first_thread_name,
+    const std::function<void(const TraceSpan&, std::string*)>& extra_args) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+         "\"args\":{\"name\":\"";
+  out += JsonEscape(process_name);
+  out += "\"}}";
+  std::set<uint32_t> threads;
+  for (const TraceSpan& span : spans) threads.insert(span.thread);
+  for (uint32_t tid : threads) {
+    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+    AppendU64(&out, tid);
+    out += ",\"args\":{\"name\":\"";
+    out += tid == 0 ? first_thread_name : "worker " + std::to_string(tid);
+    out += "\"}}";
+  }
+  for (const TraceSpan& span : spans) {
+    out += ",\n{\"name\":\"";
+    out += JsonEscape(span.name);
+    out += "\",\"cat\":\"sama\",\"ph\":\"X\",\"ts\":";
+    out += Micros(span.start_millis);
+    out += ",\"dur\":";
+    out += Micros(span.duration_millis < 0 ? 0.0 : span.duration_millis);
+    out += ",\"pid\":1,\"tid\":";
+    AppendU64(&out, span.thread);
+    out += ",\"args\":{\"span_id\":";
+    AppendU64(&out, span.id);
+    if (span.parent != 0) AppendArg(&out, "parent", span.parent);
+    extra_args(span, &out);
+    out += "}}";
+  }
+  out += "\n]}\n";
+  return out;
+}
+
 }  // namespace
 
 std::string RenderExplainAnalyze(const QueryProfile& profile) {
@@ -137,122 +188,46 @@ std::string RenderChromeTrace(const QueryProfile& profile) {
     if (node.counters.any()) counters_by_name.emplace(node.name, &node.counters);
   }
   const ProfileSummary& s = profile.summary();
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"sama query\"}}";
-  std::set<uint32_t> threads;
-  for (const TraceSpan& span : profile.spans()) threads.insert(span.thread);
-  for (uint32_t tid : threads) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    AppendU64(&out, tid);
-    out += ",\"args\":{\"name\":\"";
-    out += tid == 0 ? "query thread" : "worker " + std::to_string(tid);
-    out += "\"}}";
-  }
-  for (const TraceSpan& span : profile.spans()) {
-    out += ",\n{\"name\":\"";
-    out += JsonEscape(span.name);
-    out += "\",\"cat\":\"sama\",\"ph\":\"X\",\"ts\":";
-    out += Micros(span.start_millis);
-    out += ",\"dur\":";
-    out += Micros(span.duration_millis < 0 ? 0.0 : span.duration_millis);
-    out += ",\"pid\":1,\"tid\":";
-    AppendU64(&out, span.thread);
-    out += ",\"args\":{\"span_id\":";
-    AppendU64(&out, span.id);
-    if (span.parent != 0) {
-      out += ",\"parent\":";
-      AppendU64(&out, span.parent);
-    }
-    if (span.parent == 0) {
-      // Root span carries the query-level facts.
-      out += ",\"answers\":";
-      AppendU64(&out, s.num_answers);
-      out += ",\"query_paths\":";
-      AppendU64(&out, s.num_query_paths);
-      out += ",\"candidate_paths\":";
-      AppendU64(&out, s.num_candidate_paths);
-      out += ",\"truncated\":";
-      out += s.search_truncated ? "true" : "false";
-    }
-    auto it = counters_by_name.find(span.name);
-    if (it != counters_by_name.end()) {
-      const ProfileCounters& c = *it->second;
-      out += ",\"cache_hits\":";
-      AppendU64(&out, c.cache_hits);
-      out += ",\"cache_misses\":";
-      AppendU64(&out, c.cache_misses);
-      out += ",\"pages_fetched\":";
-      AppendU64(&out, c.pages_fetched);
-      out += ",\"pages_read\":";
-      AppendU64(&out, c.pages_read);
-      out += ",\"pages_evicted\":";
-      AppendU64(&out, c.pages_evicted);
-      out += ",\"bytes_read\":";
-      AppendU64(&out, c.bytes_read);
-      if (c.io_retries) {
-        out += ",\"io_retries\":";
-        AppendU64(&out, c.io_retries);
-      }
-      if (c.corrupt_skipped) {
-        out += ",\"corrupt_skipped\":";
-        AppendU64(&out, c.corrupt_skipped);
-      }
-      if (c.search_expansions) {
-        out += ",\"expansions\":";
-        AppendU64(&out, c.search_expansions);
-      }
-      counters_by_name.erase(it);  // First span of the group only.
-    }
-    out += "}}";
-  }
-  out += "\n]}\n";
-  return out;
+  return RenderTraceEvents(
+      profile.spans(), "sama query", "query thread",
+      [&](const TraceSpan& span, std::string* out) {
+        if (span.parent == 0) {
+          // Root span carries the query-level facts.
+          AppendArg(out, "answers", s.num_answers);
+          AppendArg(out, "query_paths", s.num_query_paths);
+          AppendArg(out, "candidate_paths", s.num_candidate_paths);
+          *out += ",\"truncated\":";
+          *out += s.search_truncated ? "true" : "false";
+        }
+        auto it = counters_by_name.find(span.name);
+        if (it == counters_by_name.end()) return;
+        const ProfileCounters& c = *it->second;
+        AppendArg(out, "cache_hits", c.cache_hits);
+        AppendArg(out, "cache_misses", c.cache_misses);
+        AppendArg(out, "pages_fetched", c.pages_fetched);
+        AppendArg(out, "pages_read", c.pages_read);
+        AppendArg(out, "pages_evicted", c.pages_evicted);
+        AppendArg(out, "bytes_read", c.bytes_read);
+        if (c.io_retries) AppendArg(out, "io_retries", c.io_retries);
+        if (c.corrupt_skipped) {
+          AppendArg(out, "corrupt_skipped", c.corrupt_skipped);
+        }
+        if (c.search_expansions) {
+          AppendArg(out, "expansions", c.search_expansions);
+        }
+        counters_by_name.erase(it);  // First span of the group only.
+      });
 }
 
 std::string RenderSpansChromeTrace(const std::vector<TraceSpan>& spans,
                                    const std::string& trace_id) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"sama trace ";
-  out += JsonEscape(trace_id);
-  out += "\"}}";
-  std::set<uint32_t> threads;
-  for (const TraceSpan& span : spans) threads.insert(span.thread);
-  for (uint32_t tid : threads) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    AppendU64(&out, tid);
-    out += ",\"args\":{\"name\":\"";
-    out += tid == 0 ? "request thread" : "worker " + std::to_string(tid);
-    out += "\"}}";
-  }
-  for (const TraceSpan& span : spans) {
-    out += ",\n{\"name\":\"";
-    out += JsonEscape(span.name);
-    out += "\",\"cat\":\"sama\",\"ph\":\"X\",\"ts\":";
-    out += Micros(span.start_millis);
-    out += ",\"dur\":";
-    out += Micros(span.duration_millis < 0 ? 0.0 : span.duration_millis);
-    out += ",\"pid\":1,\"tid\":";
-    AppendU64(&out, span.thread);
-    out += ",\"args\":{\"span_id\":";
-    AppendU64(&out, span.id);
-    if (span.parent != 0) {
-      out += ",\"parent\":";
-      AppendU64(&out, span.parent);
-    }
-    for (const auto& [key, value] : span.attrs) {
-      out += ",\"";
-      out += JsonEscape(key);
-      out += "\":\"";
-      out += JsonEscape(value);
-      out += "\"";
-    }
-    out += "}}";
-  }
-  out += "\n]}\n";
-  return out;
+  return RenderTraceEvents(
+      spans, "sama trace " + trace_id, "request thread",
+      [](const TraceSpan& span, std::string* out) {
+        for (const auto& [key, value] : span.attrs) {
+          *out += ",\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+        }
+      });
 }
 
 void RefreshLatencyQuantiles(MetricsRegistry* registry) {

@@ -5,12 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/net.h"
-
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cstring>
+#include <cstdlib>
+
+#include "common/net.h"
+#include "common/string_util.h"
 
 namespace sama {
 namespace {
@@ -27,6 +27,7 @@ const char* StatusText(int status) {
     case 405: return "Method Not Allowed";
     case 413: return "Payload Too Large";
     case 500: return "Internal Server Error";
+    case 503: return "Service Unavailable";
     default: return "Unknown";
   }
 }
@@ -59,6 +60,25 @@ bool ReadHead(int fd, std::string* head, size_t* head_end) {
     }
   }
   return false;
+}
+
+// The value of header `name` (lowercase) in an HTTP head — the request
+// or status line, then one header per line — trimmed; empty when
+// absent.
+std::string_view FindHeader(std::string_view head, std::string_view name) {
+  size_t pos = head.find("\r\n");
+  while (pos != std::string_view::npos) {
+    pos += 2;
+    size_t eol = head.find("\r\n", pos);
+    std::string_view line = head.substr(pos, eol - pos);
+    size_t colon = line.find(':');
+    if (colon != std::string_view::npos &&
+        ToLowerAscii(line.substr(0, colon)) == name) {
+      return TrimWhitespace(line.substr(colon + 1));
+    }
+    pos = eol;
+  }
+  return {};
 }
 
 bool WriteAll(int fd, const std::string& data) {
@@ -197,24 +217,10 @@ void ObsHttpServer::ServeConnection(int fd) {
       }
       // The one header we honour: Content-Length, for POST bodies.
       size_t content_length = 0;
-      for (size_t pos = line_end + 2; pos < head_end - 2;) {
-        size_t eol = raw.find("\r\n", pos);
-        std::string_view header(raw.data() + pos, eol - pos);
-        size_t colon = header.find(':');
-        if (colon != std::string_view::npos) {
-          std::string key(header.substr(0, colon));
-          for (char& c : key) c = static_cast<char>(std::tolower(c));
-          if (key == "content-length") {
-            std::string_view v = header.substr(colon + 1);
-            while (!v.empty() && v.front() == ' ') v.remove_prefix(1);
-            content_length = 0;
-            for (char c : v) {
-              if (c < '0' || c > '9') break;
-              content_length = content_length * 10 + (c - '0');
-            }
-          }
-        }
-        pos = eol + 2;
+      for (char c : FindHeader(std::string_view(raw).substr(0, head_end),
+                               "content-length")) {
+        if (c < '0' || c > '9') break;
+        content_length = content_length * 10 + (c - '0');
       }
       if (content_length > kMaxBodyBytes) {
         resp = {413, "text/plain; charset=utf-8", "payload too large\n"};
@@ -262,6 +268,38 @@ void ObsHttpServer::ServeConnection(int fd) {
   char drain[1024];
   while (::read(fd, drain, sizeof(drain)) > 0) {
   }
+}
+
+Result<HttpResponse> HttpGet(const std::string& host, uint16_t port,
+                             const std::string& target) {
+  int fd = -1;
+  SAMA_RETURN_IF_ERROR(ConnectTcp(host, port, &fd));
+  bool sent = WriteAll(fd, "GET " + target + " HTTP/1.1\r\nHost: " + host +
+                               "\r\nConnection: close\r\n\r\n");
+  std::string raw;
+  char buf[8192];
+  while (sent) {
+    ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      raw.append(buf, static_cast<size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  if (!sent) return Status::IoError("write failed");
+  // "HTTP/1.1 200 OK\r\n" headers "\r\n\r\n" body.
+  size_t head_end = raw.find("\r\n\r\n");
+  size_t space = raw.find(' ');
+  if (head_end == std::string::npos || space > head_end) {
+    return Status::IoError("malformed HTTP response");
+  }
+  HttpResponse response;
+  response.status = std::atoi(raw.c_str() + space + 1);
+  response.content_type = std::string(
+      FindHeader(std::string_view(raw).substr(0, head_end), "content-type"));
+  response.body = raw.substr(head_end + 4);
+  return response;
 }
 
 }  // namespace sama

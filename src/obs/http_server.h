@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 
 namespace sama {
@@ -91,6 +92,15 @@ class ObsHttpServer {
   std::atomic<uint64_t> requests_served_{0};
   std::thread thread_;
 };
+
+// One-shot GET of `target` from an ObsHttpServer-style endpoint
+// (HTTP/1.1, Connection: close): the client behind `sama_cli top` and
+// the diagnostics tests. Any status is an answer — a degraded
+// /healthz's 503 comes back as a response; only a failed connect or a
+// malformed reply is an error. The response carries the status code,
+// the Content-Type header and the body.
+Result<HttpResponse> HttpGet(const std::string& host, uint16_t port,
+                             const std::string& target);
 
 // Percent-decodes `s` ("%2Fa+b" -> "/a b"). Invalid escapes pass
 // through verbatim. Exposed for tests.

@@ -22,19 +22,6 @@ const char* BasicOpName(BasicOp op) {
   return "unknown";
 }
 
-bool Substitution::CompatibleWith(const Substitution& other) const {
-  const Substitution* small = this;
-  const Substitution* large = &other;
-  if (small->bindings_.size() > large->bindings_.size()) {
-    std::swap(small, large);
-  }
-  for (const auto& [var, value] : small->bindings_) {
-    const Term* bound = large->Lookup(var);
-    if (bound != nullptr && !(*bound == value)) return false;
-  }
-  return true;
-}
-
 bool Substitution::Merge(const Substitution& other) {
   bool consistent = true;
   for (const auto& [var, value] : other.bindings_) {

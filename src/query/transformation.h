@@ -76,9 +76,6 @@ class Substitution {
     return bindings_;
   }
 
-  // True when every binding of `other` is compatible with this one.
-  bool CompatibleWith(const Substitution& other) const;
-
   // Merges `other` into this substitution. Returns false when any
   // variable conflicted (the existing binding wins); all other
   // variables transfer regardless.

@@ -1,13 +1,12 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <utility>
+
+#include "common/net.h"
 
 namespace sama {
 
@@ -30,23 +29,7 @@ BinaryClient& BinaryClient::operator=(BinaryClient&& other) noexcept {
 
 Status BinaryClient::Connect(const std::string& host, uint16_t port) {
   Close();
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return Status::InvalidArgument("unparseable host address: " + host);
-  }
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    int err = errno;
-    close(fd);
-    return Status::IoError("connect to " + host + ":" +
-                           std::to_string(port) +
-                           " failed: " + std::strerror(err));
-  }
-  fd_ = fd;
+  SAMA_RETURN_IF_ERROR(ConnectTcp(host, port, &fd_));
   decoder_ = FrameDecoder();
   return Status::Ok();
 }

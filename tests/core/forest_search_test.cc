@@ -90,19 +90,6 @@ TEST_F(ForestSearchTest, DashedForestEdgeRanksSecond) {
   EXPECT_FALSE(answers[1].consistent);
 }
 
-TEST_F(ForestSearchTest, RequireConsistentBindingsFilters) {
-  QueryGraph query = env_.Query1();
-  ForestSearchOptions options;
-  options.k = 50;
-  std::vector<Answer> all = Search(query, options);
-  options.require_consistent_bindings = true;
-  std::vector<Answer> consistent_only = Search(query, options);
-  EXPECT_LT(consistent_only.size(), all.size());
-  for (const Answer& a : consistent_only) {
-    EXPECT_TRUE(a.consistent);
-  }
-}
-
 TEST_F(ForestSearchTest, RequireConnectedRejectsDisjointCombos) {
   QueryGraph query = env_.Query1();
   ForestSearchOptions options;
@@ -123,26 +110,13 @@ TEST_F(ForestSearchTest, RequireConnectedRejectsDisjointCombos) {
   EXPECT_GT(all.size(), connected.size());
 }
 
-TEST_F(ForestSearchTest, EmptyClusterWithPartialDisallowedMeansNoAnswers) {
-  QueryGraph query = env_.engine().BuildQueryGraph(
-      {{Term::Variable("x"), Term::Iri("http://gov.example.org/gender"),
-        Term::Literal("Robot")},
-       {Term::Variable("x"), Term::Iri("http://gov.example.org/gender"),
-        Term::Literal("Male")}});
-  ForestSearchOptions options;
-  options.allow_partial = false;
-  EXPECT_TRUE(Search(query, options).empty());
-}
-
 TEST_F(ForestSearchTest, EmptyClusterPenalisedWhenPartialAllowed) {
   QueryGraph query = env_.engine().BuildQueryGraph(
       {{Term::Variable("x"), Term::Iri("http://gov.example.org/gender"),
         Term::Literal("Robot")},
        {Term::Variable("x"), Term::Iri("http://gov.example.org/gender"),
         Term::Literal("Male")}});
-  ForestSearchOptions options;
-  options.allow_partial = true;
-  std::vector<Answer> answers = Search(query, options);
+  std::vector<Answer> answers = Search(query, {});
   ASSERT_FALSE(answers.empty());
   // The unmatched path ?x-gender-Robot costs a·2 + c·1 = 4.
   EXPECT_DOUBLE_EQ(answers[0].lambda_total, 4.0);

@@ -99,6 +99,33 @@ TEST(ExporterTest, ChromeTraceEscapesSpanNames) {
   EXPECT_NE(out.find("odd\\\"name\\\\here"), std::string::npos) << out;
 }
 
+TEST(ExporterTest, SpansChromeTraceNamesTheTraceAndCarriesAttributes) {
+  std::vector<TraceSpan> spans = {
+      {1, 0, "request", 0.0, 2.0, 0, {{"op", "in\"sert\\"}}},
+      {2, 1, "wal.append", 0.5, 1.0, 1, {{"lsn", "7"}}},
+  };
+  std::string out =
+      RenderSpansChromeTrace(spans, "0000000000000000000000000000f00d");
+  EXPECT_NE(out.find("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+                     "\"tid\":0,\"args\":{\"name\":\"sama trace "
+                     "0000000000000000000000000000f00d\"}}"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"tid\":0,\"args\":{\"name\":\"request thread\"}"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"tid\":1,\"args\":{\"name\":\"worker 1\"}"),
+            std::string::npos)
+      << out;
+  // Attributes are escaped string args after the span's ids.
+  EXPECT_NE(out.find("\"args\":{\"span_id\":1,\"op\":\"in\\\"sert\\\\\"}}"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"args\":{\"span_id\":2,\"parent\":1,\"lsn\":\"7\"}}"),
+            std::string::npos)
+      << out;
+}
+
 TEST(ExporterTest, RefreshLatencyQuantilesPublishesSecondsGauges) {
   MetricsRegistry registry;
   auto bounds = Histogram::LatencyBucketsMillis();

@@ -6,15 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <string>
 
+#include "common/net.h"
 #include "obs/http_server.h"
 
 namespace sama {
@@ -23,15 +20,9 @@ namespace {
 // Sends `raw` to the server and returns the full response (the server
 // closes the connection after one exchange, so read-to-EOF is exact).
 std::string RawRequest(const ObsHttpServer& server, const std::string& raw) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  EXPECT_EQ(::inet_pton(AF_INET, server.host().c_str(), &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0)
-      << strerror(errno);
+  int fd = -1;
+  Status connected = ConnectTcp(server.host(), server.port(), &fd);
+  EXPECT_TRUE(connected.ok()) << connected.ToString();
   size_t sent = 0;
   while (sent < raw.size()) {
     ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
@@ -77,6 +68,9 @@ class HttpServerTest : public ::testing::Test {
       response.body = "short and stout\n";
       return response;
     });
+    server_.Handle("/unavailable", [](const HttpRequest&) {
+      return HttpResponse{503, "text/plain; charset=utf-8", "degraded\n"};
+    });
     ASSERT_TRUE(server_.Start().ok());
     ASSERT_NE(server_.port(), 0) << "ephemeral port not resolved";
   }
@@ -104,6 +98,9 @@ TEST_F(HttpServerTest, UnknownPathIs404) {
 
 TEST_F(HttpServerTest, HandlerChoosesStatus) {
   EXPECT_EQ(Get(server_, "/teapot").rfind("HTTP/1.1 418", 0), 0u);
+  EXPECT_EQ(Get(server_, "/unavailable")
+                .rfind("HTTP/1.1 503 Service Unavailable\r\n", 0),
+            0u);
 }
 
 TEST_F(HttpServerTest, QueryParamsAreSplitAndDecoded) {

@@ -21,19 +21,6 @@ TEST(SubstitutionTest, RebindSameValueOk) {
   EXPECT_EQ(*phi.Lookup("v"), Term::Iri("a"));  // First wins.
 }
 
-TEST(SubstitutionTest, Compatibility) {
-  Substitution a, b, c;
-  a.Bind("x", Term::Iri("1"));
-  a.Bind("y", Term::Iri("2"));
-  b.Bind("y", Term::Iri("2"));
-  b.Bind("z", Term::Iri("3"));
-  c.Bind("y", Term::Iri("9"));
-  EXPECT_TRUE(a.CompatibleWith(b));
-  EXPECT_TRUE(b.CompatibleWith(a));
-  EXPECT_FALSE(a.CompatibleWith(c));
-  EXPECT_TRUE(Substitution().CompatibleWith(a));  // Empty compatible.
-}
-
 TEST(SubstitutionTest, Merge) {
   Substitution a, b;
   a.Bind("x", Term::Iri("1"));

@@ -38,8 +38,10 @@ The flag modes validate the profiler/HTTP surfaces:
   --metrics   A GET /metrics capture (bare exposition, no "-- metrics:"
               header), plus the scrape-time quantile gauges when the
               latency histogram has observations.
-  --queries   A GET /debug/queries capture: {"queries": [...]} where
-              every record passes the slow-query key/finiteness checks.
+  --queries   A GET /debug/queries capture: {"total","returned",
+              "queries": [...]} with returned == len(queries) <= total
+              and every record passing the slow-query key/finiteness
+              checks.
   --trace     A GET /debug/trace?id= capture (the distributed trace
               tree): the same Perfetto envelope checks, but rooted at
               one or more "request" spans (a client can stitch several
@@ -52,9 +54,10 @@ The flag modes validate the profiler/HTTP surfaces:
               rate_per_sec/increase, gauges carry "last", histograms
               carry rate_per_sec/count and p50/p90/p99 (null allowed
               when the window has no observations).
-  --slo       A GET /debug/slo capture: status ok|degraded consistent
-              with the violations list, three objectives each carrying
-              a finite non-negative burn_rate.
+  --slo       A GET /healthz?verbose=1 capture (the SLO tracker's
+              JSON): status ok|degraded consistent with the violations
+              list, three objectives each carrying a finite
+              non-negative burn_rate.
 
 Structure only, never timings: the checker must pass on any machine.
 """
@@ -396,35 +399,35 @@ def check_timeseries_file(path):
 def check_slo_file(path):
     doc = load_json(path)
     if not isinstance(doc, dict):
-        fail("/debug/slo payload is not a JSON object")
+        fail("/healthz?verbose=1 payload is not a JSON object")
     status = doc.get("status")
     if status not in ("ok", "degraded"):
-        fail(f"/debug/slo status is {status!r}")
+        fail(f"/healthz?verbose=1 status is {status!r}")
     if not isinstance(doc.get("evaluated"), bool):
-        fail(f"/debug/slo evaluated is not a bool: "
+        fail(f"/healthz?verbose=1 evaluated is not a bool: "
              f"{doc.get('evaluated')!r}")
-    finite_number(doc, "window_seconds", "/debug/slo")
-    finite_number(doc, "burn_threshold", "/debug/slo")
+    finite_number(doc, "window_seconds", "/healthz?verbose=1")
+    finite_number(doc, "burn_threshold", "/healthz?verbose=1")
     objectives = doc.get("objectives")
     if not isinstance(objectives, dict):
-        fail("/debug/slo has no objectives object")
+        fail("/healthz?verbose=1 has no objectives object")
     for name in ("latency", "errors", "shed"):
         obj = objectives.get(name)
         if not isinstance(obj, dict):
-            fail(f"/debug/slo objective '{name}' is missing")
-        if finite_number(obj, "burn_rate", f"/debug/slo {name}") < 0:
-            fail(f"/debug/slo {name} burn_rate is negative")
-        finite_number(obj, "allowed_bad_ratio", f"/debug/slo {name}")
+            fail(f"/healthz?verbose=1 objective '{name}' is missing")
+        if finite_number(obj, "burn_rate", f"/healthz?verbose=1 {name}") < 0:
+            fail(f"/healthz?verbose=1 {name} burn_rate is negative")
+        finite_number(obj, "allowed_bad_ratio", f"/healthz?verbose=1 {name}")
     violations = doc.get("violations")
     if not isinstance(violations, list):
-        fail("/debug/slo has no violations array")
+        fail("/healthz?verbose=1 has no violations array")
     for v in violations:
         if v not in ("latency", "errors", "shed"):
-            fail(f"/debug/slo unknown violation {v!r}")
+            fail(f"/healthz?verbose=1 unknown violation {v!r}")
     if status == "degraded" and not violations:
-        fail("/debug/slo is degraded with an empty violations list")
+        fail("/healthz?verbose=1 is degraded with an empty violations list")
     if status == "ok" and violations:
-        fail(f"/debug/slo is ok but lists violations: {violations}")
+        fail(f"/healthz?verbose=1 is ok but lists violations: {violations}")
     return status, violations
 
 
@@ -437,6 +440,13 @@ def check_queries_file(path):
     records = doc.get("queries") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         fail("/debug/queries payload has no 'queries' array")
+    total, returned = doc.get("total"), doc.get("returned")
+    if type(total) is not int or type(returned) is not int:
+        fail(f"/debug/queries total={total!r} and returned={returned!r} "
+             "must be integers")
+    if not returned == len(records) <= total:
+        fail(f"/debug/queries needs returned == len(queries) <= total; got "
+             f"returned={returned}, {len(records)} record(s), total={total}")
     for record in records:
         check_slow_record(record, "/debug/queries")
     return len(records)
@@ -484,7 +494,7 @@ def main():
     mode.add_argument("--timeseries", metavar="SERIES_JSON",
                       help="validate a /debug/timeseries capture")
     mode.add_argument("--slo", metavar="SLO_JSON",
-                      help="validate a /debug/slo capture")
+                      help="validate a /healthz?verbose=1 capture")
     parser.add_argument("output", nargs="?",
                         help="combined CLI capture (default mode)")
     args = parser.parse_args()
@@ -509,7 +519,7 @@ def main():
         print(f"obs ok: /debug/timeseries {what}")
     elif args.slo:
         status, violations = check_slo_file(args.slo)
-        print(f"obs ok: /debug/slo status={status} "
+        print(f"obs ok: /healthz?verbose=1 status={status} "
               f"violations={violations}")
     elif args.output:
         check_default(args.output)

@@ -41,32 +41,18 @@
 //                      (bulk loads); a torn tail is then possible but is
 //                      truncated, never half-applied.
 //   serve              Load the data, run an optional warmup query, and
-//                      serve diagnostics over HTTP until killed:
-//                        GET  /metrics         Prometheus text format
-//                        GET  /healthz         liveness probe; 503 +
-//                             "degraded" once an SLO burn rate crosses
-//                             its threshold, ?verbose=1 for the full
-//                             SLO JSON (DESIGN.md §15)
-//                        GET  /debug/queries   slow-query ring as JSON
-//                             (?limit=N caps the rows, newest kept)
-//                        GET  /debug/profile   retained query profiles
-//                             ?id=N (default latest), ?format=text for
-//                             EXPLAIN ANALYZE instead of trace JSON
-//                        GET  /debug/timeseries telemetry history:
-//                             ?metric=NAME&window=S windowed series,
-//                             no params for the metric listing
-//                        GET  /debug/top       the `sama_cli top` rollup
-//                        GET  /debug/trace     propagated traces:
-//                             ?id=HEX Perfetto trace-event JSON
-//                             (?format=raw for the span tree), no
-//                             params for the known-id listing
-//                        POST /query           SPARQL body -> answers
-//                      Profiling, metrics, the 1s telemetry sampler and
-//                      the SLO tracker are always on under serve;
+//                      serve the diagnostics routes of
+//                      src/obs/diagnostics.h (/metrics, the SLO-aware
+//                      /healthz, /debug/{queries,profile,timeseries,
+//                      top,trace}) plus POST /query (SPARQL body ->
+//                      answers) over HTTP until killed. Profiling,
+//                      metrics, the 1s telemetry sampler and the SLO
+//                      tracker are always on under serve;
 //                      --slow-query-ms defaults to 100 so /debug/queries
-//                      has a live ring. `serve --binary` accepts a
-//                      sharded --index-dir (read-only serving) and
-//                      co-hosts the same diagnostics endpoints when
+//                      has a live ring. `serve --binary` serves the
+//                      framed binary protocol on --port instead, accepts
+//                      a sharded --index-dir (read-only serving), and
+//                      serves the same diagnostics routes when
 //                      --http-port is given.
 //   top                Live terminal view of a serving process: QPS,
 //                      P50/P99, shed/error rates, cache hit ratio,
@@ -152,7 +138,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -160,9 +145,6 @@
 #include <string>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "baselines/bounded.h"
@@ -171,6 +153,7 @@
 #include "baselines/sapper.h"
 #include "common/string_util.h"
 #include "core/engine.h"
+#include "obs/diagnostics.h"
 #include "obs/exporter.h"
 #include "obs/http_server.h"
 #include "obs/slo.h"
@@ -526,221 +509,7 @@ sama::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-// ---- Shared diagnostics endpoints (DESIGN.md §15). One registration
-// helper serves both the plain `serve` HTTP listener and the --http-port
-// co-host next to `serve --binary`; the struct carries whichever
-// sources the serving mode has (null members answer 404/empty).
-struct ObsState {
-  const sama::SlowQueryLog* slow = nullptr;
-  const sama::ProfileLog* profiles = nullptr;
-  const sama::TimeSeriesRing* ring = nullptr;
-  sama::SloTracker* slo = nullptr;
-  const sama::TraceStore* traces = nullptr;
-  double window_seconds = 60.0;  // Default window for top/timeseries.
-};
-
-void RegisterObsEndpoints(sama::ObsHttpServer* server, ObsState state) {
-  server->Handle("/healthz", [state](const sama::HttpRequest& req) {
-    sama::HttpResponse r;
-    if (state.slo == nullptr) {
-      r.body = "ok\n";
-      return r;
-    }
-    state.slo->Evaluate();
-    sama::SloTracker::Health health = state.slo->Snapshot();
-    if (health.degraded) r.status = 503;
-    auto verbose = req.params.find("verbose");
-    if (verbose != req.params.end() && verbose->second != "0") {
-      r.content_type = "application/json";
-      r.body = state.slo->RenderJson();
-    } else {
-      r.body = health.degraded ? "degraded\n" : "ok\n";
-    }
-    return r;
-  });
-  server->Handle("/metrics", [](const sama::HttpRequest&) {
-    sama::HttpResponse r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = sama::RenderMetricsScrape(sama::MetricsRegistry::Global());
-    return r;
-  });
-  server->Handle("/debug/queries", [state](const sama::HttpRequest& req) {
-    sama::HttpResponse r;
-    r.content_type = "application/json";
-    std::vector<sama::SlowQueryRecord> records;
-    if (state.slow != nullptr) records = state.slow->Snapshot();
-    // ?limit=N keeps the newest N rows — the ring is oldest-first, so
-    // a bounded scrape still sees the most recent slow queries.
-    size_t limit = records.size();
-    auto it = req.params.find("limit");
-    if (it != req.params.end()) {
-      limit = static_cast<size_t>(
-          std::strtoul(it->second.c_str(), nullptr, 10));
-      if (limit > records.size()) limit = records.size();
-    }
-    r.body = "{\"total\":" + std::to_string(records.size()) +
-             ",\"returned\":" + std::to_string(limit) + ",\"queries\":[";
-    for (size_t i = records.size() - limit; i < records.size(); ++i) {
-      if (i != records.size() - limit) r.body += ",";
-      r.body += "\n";
-      r.body += sama::SlowQueryLog::ToJsonLine(records[i]);
-    }
-    r.body += "\n]}\n";
-    return r;
-  });
-  server->Handle("/debug/profile", [state](const sama::HttpRequest& req) {
-    std::shared_ptr<const sama::QueryProfile> profile;
-    if (state.profiles != nullptr) {
-      auto it = req.params.find("id");
-      profile = it == req.params.end()
-                    ? state.profiles->Latest()
-                    : state.profiles->Get(std::strtoull(it->second.c_str(),
-                                                        nullptr, 10));
-    }
-    sama::HttpResponse r;
-    if (profile == nullptr) {
-      r.status = 404;
-      r.body = "no such profile\n";
-      return r;
-    }
-    auto fmt = req.params.find("format");
-    if (fmt != req.params.end() && fmt->second == "text") {
-      r.body = sama::RenderExplainAnalyze(*profile);
-    } else {
-      r.content_type = "application/json";
-      r.body = sama::RenderChromeTrace(*profile);
-    }
-    return r;
-  });
-  server->Handle("/debug/timeseries", [state](const sama::HttpRequest& req) {
-    sama::HttpResponse r;
-    r.content_type = "application/json";
-    if (state.ring == nullptr) {
-      r.status = 503;
-      r.body = "{\"error\":\"telemetry sampler not running\"}\n";
-      return r;
-    }
-    double window = state.window_seconds;
-    auto w = req.params.find("window");
-    if (w != req.params.end()) window = std::strtod(w->second.c_str(),
-                                                    nullptr);
-    auto metric = req.params.find("metric");
-    r.body = metric == req.params.end()
-                 ? state.ring->RenderIndexJson()
-                 : state.ring->RenderJson(metric->second, window);
-    return r;
-  });
-  server->Handle("/debug/top", [state](const sama::HttpRequest& req) {
-    sama::HttpResponse r;
-    r.content_type = "application/json";
-    if (state.ring == nullptr) {
-      r.status = 503;
-      r.body = "{\"error\":\"telemetry sampler not running\"}\n";
-      return r;
-    }
-    double window = state.window_seconds;
-    auto w = req.params.find("window");
-    if (w != req.params.end()) window = std::strtod(w->second.c_str(),
-                                                    nullptr);
-    r.body = state.ring->RenderTopJson(window);
-    return r;
-  });
-  server->Handle("/debug/trace", [state](const sama::HttpRequest& req) {
-    sama::HttpResponse r;
-    r.content_type = "application/json";
-    if (state.traces == nullptr) {
-      r.status = 404;
-      r.body = "{\"error\":\"trace store only exists under serve "
-               "--binary\"}\n";
-      return r;
-    }
-    auto it = req.params.find("id");
-    if (it == req.params.end()) {
-      r.body = "{\"traces\":[";
-      std::vector<std::string> ids = state.traces->Ids();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (i) r.body += ",";
-        r.body += "\"" + ids[i] + "\"";
-      }
-      r.body += "]}\n";
-      return r;
-    }
-    // Accept short ids too (the store keys on the full 32-hex form):
-    // parse and re-render so "?id=beef" finds "000...beef".
-    std::string id = it->second;
-    sama::TraceContext parsed;
-    if (sama::TraceContext::ParseTraceId(id, &parsed)) {
-      id = parsed.TraceIdHex();
-    }
-    std::shared_ptr<sama::QueryTrace> trace = state.traces->Find(id);
-    if (trace == nullptr) {
-      r.status = 404;
-      r.body = "{\"error\":\"no such trace\",\"id\":\"" +
-               sama::JsonEscape(it->second) + "\"}\n";
-      return r;
-    }
-    auto fmt = req.params.find("format");
-    if (fmt != req.params.end() && fmt->second == "raw") {
-      r.body = trace->ToJson();
-      r.body += "\n";
-    } else {
-      // Perfetto/chrome://tracing loadable trace-event JSON.
-      r.body = sama::RenderSpansChromeTrace(trace->Snapshot(), id);
-    }
-    return r;
-  });
-}
-
 // ---- `sama_cli top`: poll /debug/top and redraw.
-
-// Minimal one-shot HTTP GET (Connection: close). Returns the body
-// whatever the status code — a degraded /healthz is still an answer.
-sama::Result<std::string> HttpGet(const std::string& host, uint16_t port,
-                                  const std::string& target) {
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return sama::Status::IoError("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return sama::Status::InvalidArgument("unparseable host: " + host);
-  }
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return sama::Status::IoError("cannot connect to " + host + ":" +
-                                 std::to_string(port));
-  }
-  std::string request = "GET " + target + " HTTP/1.1\r\nHost: " + host +
-                        "\r\nConnection: close\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = write(fd, request.data() + sent, request.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close(fd);
-      return sama::Status::IoError("write failed");
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[8192];
-  while (true) {
-    ssize_t n = read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      response.append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    break;
-  }
-  close(fd);
-  size_t split = response.find("\r\n\r\n");
-  if (split == std::string::npos) {
-    return sama::Status::IoError("malformed HTTP response");
-  }
-  return response.substr(split + 4);
-}
 
 // Pulls `"key":<number>` out of a flat JSON object; NaN when absent.
 double FindJsonNumber(const std::string& json, const std::string& key) {
@@ -757,31 +526,28 @@ int RunTop(const CliOptions& options) {
   std::snprintf(window_arg, sizeof(window_arg), "/debug/top?window=%g",
                 options.window_seconds);
   for (size_t iter = 0;; ++iter) {
-    auto body = HttpGet(options.host, port, window_arg);
-    if (!body.ok()) {
-      std::fprintf(stderr, "top: %s\n", body.status().ToString().c_str());
+    auto top = sama::HttpGet(options.host, port, window_arg);
+    if (!top.ok()) {
+      std::fprintf(stderr, "top: %s\n", top.status().ToString().c_str());
       return 1;
     }
-    std::string health = "unknown";
-    auto health_body = HttpGet(options.host, port, "/healthz");
-    if (health_body.ok()) {
-      health = *health_body;
-      while (!health.empty() &&
-             (health.back() == '\n' || health.back() == '\r')) {
-        health.pop_back();
-      }
-    }
-    double qps = FindJsonNumber(*body, "qps");
-    double p50 = FindJsonNumber(*body, "p50_ms");
-    double p99 = FindJsonNumber(*body, "p99_ms");
-    double shed = FindJsonNumber(*body, "shed_per_sec");
-    double errors = FindJsonNumber(*body, "error_per_sec");
-    double shed_ratio = FindJsonNumber(*body, "shed_ratio");
-    double error_ratio = FindJsonNumber(*body, "error_ratio");
-    double cache = FindJsonNumber(*body, "cache_hit_ratio");
-    double pins = FindJsonNumber(*body, "epoch_pins");
-    double wal_lag = FindJsonNumber(*body, "wal_unsynced_appends");
-    double samples = FindJsonNumber(*body, "samples");
+    // A degraded /healthz (503) still answers with its verdict.
+    auto healthz = sama::HttpGet(options.host, port, "/healthz");
+    const std::string health =
+        healthz.ok() ? std::string(sama::TrimWhitespace(healthz->body))
+                     : "unknown";
+    const std::string& body = top->body;
+    double qps = FindJsonNumber(body, "qps");
+    double p50 = FindJsonNumber(body, "p50_ms");
+    double p99 = FindJsonNumber(body, "p99_ms");
+    double shed = FindJsonNumber(body, "shed_per_sec");
+    double errors = FindJsonNumber(body, "error_per_sec");
+    double shed_ratio = FindJsonNumber(body, "shed_ratio");
+    double error_ratio = FindJsonNumber(body, "error_ratio");
+    double cache = FindJsonNumber(body, "cache_hit_ratio");
+    double pins = FindJsonNumber(body, "epoch_pins");
+    double wal_lag = FindJsonNumber(body, "wal_unsynced_appends");
+    double samples = FindJsonNumber(body, "samples");
     if (redraw && iter > 0) std::printf("\x1b[H\x1b[2J");
     std::printf("sama top — %s:%u  window %gs  samples %.0f  health %s\n",
                 options.host.c_str(), static_cast<unsigned>(port),
@@ -814,70 +580,161 @@ sama::SloOptions MakeSloOptions(const CliOptions& options) {
   return slo;
 }
 
-// Runs a constructed binary-protocol server until a SHUTDOWN frame:
-// starts the 1s telemetry sampler and the SLO tracker it feeds,
-// optionally co-hosts the diagnostics HTTP endpoints on --http-port
-// (sharing the same ring/SLO/trace-store state), and tears everything
-// down once the server drains. `state.slow`/`state.profiles` come
-// from the caller, which knows which engine flavour is serving.
-int RunBinaryServer(const CliOptions& options,
-                    sama::BinaryQueryServer* server, ObsState state,
-                    bool updates_enabled,
-                    const sama::SloOptions& slo_options) {
-  sama::TimeSeriesRing ring{sama::TimeSeriesRing::Options()};
-  sama::SloTracker slo(slo_options, &ring);
-  if (slo_options.enabled) {
-    ring.SetOnSample(
-        [&slo](const sama::TimeSeriesRing&) { slo.Evaluate(); });
+// POST /query under plain `serve`: a SPARQL body in, the ranked
+// answers as JSON out.
+sama::HttpResponse AnswerQuery(const sama::SamaEngine& engine, size_t k,
+                               const sama::QueryContext& ctx,
+                               const sama::HttpRequest& req) {
+  sama::HttpResponse r;
+  r.content_type = "application/json";
+  if (req.method != "POST") {
+    r.status = 405;
+    r.body = "{\"error\":\"POST a SPARQL query as the body\"}\n";
+    return r;
   }
-  ring.Start();
-  state.ring = &ring;
-  state.slo = slo_options.enabled ? &slo : nullptr;
-  state.traces = &server->trace_store();
-  state.window_seconds = options.window_seconds;
+  auto query = sama::ParseSparql(req.body);
+  if (!query.ok()) {
+    r.status = 400;
+    r.body = "{\"error\":\"" + sama::JsonEscape(query.status().ToString()) +
+             "\"}\n";
+    return r;
+  }
+  sama::QueryStats stats;
+  auto answers = engine.ExecuteSparql(*query, k, &stats, ctx);
+  if (!answers.ok()) {
+    r.status = 500;
+    r.body = "{\"error\":\"" + sama::JsonEscape(answers.status().ToString()) +
+             "\"}\n";
+    return r;
+  }
+  char num[64];
+  r.body = "{\"answers\":[";
+  for (size_t i = 0; i < answers->size(); ++i) {
+    const sama::Answer& a = (*answers)[i];
+    if (i) r.body += ",";
+    std::snprintf(num, sizeof(num), "%.4f", a.score);
+    r.body += "\n{\"score\":";
+    r.body += num;
+    r.body += ",\"bindings\":{";
+    for (size_t v = 0; v < query->select_vars.size(); ++v) {
+      const std::string& var = query->select_vars[v];
+      const sama::Term* bound = a.binding.Lookup(var);
+      if (v) r.body += ",";
+      r.body += "\"" + sama::JsonEscape(var) + "\":\"" +
+                sama::JsonEscape(bound != nullptr ? bound->ToString() : "") +
+                "\"";
+    }
+    r.body += "}}";
+  }
+  std::snprintf(num, sizeof(num), "%.3f", stats.total_millis);
+  r.body += "\n],\"total_ms\":";
+  r.body += num;
+  if (stats.profile != nullptr) {
+    r.body += ",\"profile_id\":" + std::to_string(stats.profile->id());
+  }
+  r.body += "}\n";
+  return r;
+}
 
+// `serve`: the diagnostics routes on an HTTP listener, plus the framed
+// binary protocol on --port under --binary. The listener takes --port
+// under plain serve, where it also answers POST /query, and --http-port
+// (optional) under --binary. Plain serve runs until killed; --binary
+// until a SHUTDOWN frame drains the server, then checkpoints any
+// updates. Returns the exit code.
+int Serve(const CliOptions& options, const sama::SamaEngine& engine,
+          const sama::QueryContext& query_ctx) {
+  std::unique_ptr<sama::BinaryQueryServer> binary;
+  if (options.binary) {
+    sama::BinaryQueryServer::Options server_options;
+    server_options.host = options.host;
+    server_options.port = static_cast<uint16_t>(options.port);
+    server_options.num_workers = options.workers;
+    server_options.max_connections = options.max_conns;
+    server_options.max_queue = options.max_queue;
+    server_options.default_k = options.k;
+    server_options.default_deadline_ms =
+        static_cast<uint32_t>(options.deadline_ms);
+    server_options.trace_requests = options.trace;
+    binary = std::make_unique<sama::BinaryQueryServer>(&engine,
+                                                       server_options);
+  }
+  // Declared between the two servers: it reads the binary server's
+  // trace store, and the HTTP server's handlers read it.
+  sama::Diagnostics diagnostics(
+      engine.slow_query_log(), engine.profile_log(),
+      binary != nullptr ? &binary->trace_store() : nullptr,
+      MakeSloOptions(options));
+  const long http_port =
+      options.binary ? options.http_port : static_cast<long>(options.port);
   std::unique_ptr<sama::ObsHttpServer> http;
-  if (options.http_port >= 0) {
+  if (http_port >= 0) {
     sama::ObsHttpServer::Options http_options;
     http_options.host = options.host;
-    http_options.port = static_cast<uint16_t>(options.http_port);
+    http_options.port = static_cast<uint16_t>(http_port);
     http = std::make_unique<sama::ObsHttpServer>(http_options);
-    RegisterObsEndpoints(http.get(), state);
+    diagnostics.Register(http.get());
+    if (binary == nullptr) {
+      http->Handle("/query", [&engine, &options,
+                              query_ctx](const sama::HttpRequest& req) {
+        return AnswerQuery(engine, options.k, query_ctx, req);
+      });
+    }
+  }
+  diagnostics.Start();
+  if (http != nullptr) {
     sama::Status started = http->Start();
     if (!started.ok()) {
-      std::fprintf(stderr, "diagnostics server failed: %s\n",
+      std::fprintf(stderr, "%s failed: %s\n",
+                   binary != nullptr ? "diagnostics server" : "serve",
                    started.ToString().c_str());
-      ring.Stop();
       return 1;
     }
   }
-  sama::Status started = server->Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "serve failed: %s\n", started.ToString().c_str());
-    if (http != nullptr) http->Stop();
-    ring.Stop();
-    return 1;
+  if (binary != nullptr) {
+    sama::Status started = binary->Start();
+    if (!started.ok()) {
+      std::fprintf(stderr, "serve failed: %s\n", started.ToString().c_str());
+      return 1;
+    }
+    std::printf("serving binary protocol on %s:%u"
+                " (workers=%zu max-conns=%zu max-queue=%zu deadline-ms=%zu"
+                " updates=%s)\n",
+                binary->host().c_str(),
+                static_cast<unsigned>(binary->port()), options.workers,
+                options.max_conns, options.max_queue, options.deadline_ms,
+                engine.updates_enabled() ? "on" : "off");
   }
-  std::printf("serving binary protocol on %s:%u"
-              " (workers=%zu max-conns=%zu max-queue=%zu deadline-ms=%zu"
-              " updates=%s)\n",
-              server->host().c_str(),
-              static_cast<unsigned>(server->port()), options.workers,
-              options.max_conns, options.max_queue, options.deadline_ms,
-              updates_enabled ? "on" : "off");
-  if (http != nullptr) {
+  if (http != nullptr && binary != nullptr) {
     std::printf("diagnostics on http://%s:%u — /metrics /healthz"
                 " /debug/queries /debug/profile /debug/timeseries"
                 " /debug/top /debug/trace\n",
-                http->host().c_str(),
-                static_cast<unsigned>(http->port()));
+                http->host().c_str(), static_cast<unsigned>(http->port()));
+  } else if (http != nullptr) {
+    std::printf("serving on http://%s:%u — endpoints: /metrics /healthz"
+                " /debug/queries /debug/profile /debug/timeseries"
+                " /debug/top /debug/trace, POST /query\n",
+                http->host().c_str(), static_cast<unsigned>(http->port()));
   }
   std::fflush(stdout);
-  server->WaitForShutdown();  // A SHUTDOWN frame ends the process.
-  server->Stop();             // Flushes journalled updates too.
-  if (http != nullptr) http->Stop();
-  ring.Stop();
+  if (binary == nullptr) {
+    for (;;) pause();  // Until SIGINT/SIGTERM.
+  }
+  binary->WaitForShutdown();  // A SHUTDOWN frame ends the process.
+  binary->Stop();             // Flushes journalled updates too.
   std::printf("shutdown requested; server drained\n");
+  if (engine.updates_enabled()) {
+    // Fold the WAL into the index so the next open skips replay.
+    // Failure is not fatal: the flushed WAL already holds everything,
+    // recovery just has more to do.
+    sama::Status checkpointed = engine.CheckpointUpdates();
+    if (!checkpointed.ok()) {
+      std::fprintf(stderr,
+                   "note: final checkpoint failed (%s); the WAL replays on "
+                   "the next open\n",
+                   checkpointed.ToString().c_str());
+    }
+  }
   return 0;
 }
 
@@ -1056,14 +913,10 @@ int OpenOrBuildIndex(const CliOptions& options, sama::DataGraph* graph,
                                   ? sama::ThreadPool::HardwareThreads()
                                   : options.threads;
   bool reused = false;
-  // Attempt a reuse whenever the directory holds a committed index OR
-  // leftovers of a crashed build — Open() also performs the recovery
-  // sweep that discards partial artifacts. kNotFound afterwards is the
+  // Open() also clears a crashed build's leftovers. kNotFound is the
   // clean empty state (nothing committed), so the rebuild is silent;
   // anything else (corruption, version mismatch) is worth a note.
-  if (!options.index_dir.empty() &&
-      (std::filesystem::exists(options.index_dir + "/index.meta") ||
-       std::filesystem::exists(options.index_dir + "/build.tmp"))) {
+  if (!options.index_dir.empty()) {
     sama::Status opened = index->Open(graph, index_options);
     if (opened.ok()) {
       reused = true;
@@ -1319,7 +1172,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (options.update) {
+  if (options.update || options.serve_updates) {
     sama::UpdateOptions update_options;
     update_options.checkpoint_every = options.checkpoint_every;
     update_options.durable = options.fsync_updates;
@@ -1330,6 +1183,9 @@ int main(int argc, char** argv) {
                    enabled.ToString().c_str());
       return 1;
     }
+  }
+
+  if (options.update) {
     std::ifstream file;
     std::istream* in = &std::cin;
     if (!options.apply_path.empty() && options.apply_path != "-") {
@@ -1402,144 +1258,9 @@ int main(int argc, char** argv) {
     if (!warmup.empty()) {
       RunOneQuery(options, &graph, &engine, warmup, query_ctx);
     }
-
-    if (options.binary) {
-      if (options.serve_updates) {
-        sama::UpdateOptions update_options;
-        update_options.checkpoint_every = options.checkpoint_every;
-        update_options.durable = options.fsync_updates;
-        sama::Status enabled = engine.EnableUpdates(&graph, &index,
-                                                    update_options);
-        if (!enabled.ok()) {
-          std::fprintf(stderr, "cannot enable updates: %s\n",
-                       enabled.ToString().c_str());
-          return 1;
-        }
-      }
-      sama::BinaryQueryServer::Options server_options;
-      server_options.host = options.host;
-      server_options.port = static_cast<uint16_t>(options.port);
-      server_options.num_workers = options.workers;
-      server_options.max_connections = options.max_conns;
-      server_options.max_queue = options.max_queue;
-      server_options.default_k = options.k;
-      server_options.default_deadline_ms =
-          static_cast<uint32_t>(options.deadline_ms);
-      server_options.trace_requests = options.trace;
-      sama::BinaryQueryServer server(&engine, server_options);
-      ObsState state;
-      state.slow = engine.slow_query_log();
-      state.profiles = engine.profile_log();
-      int rc = RunBinaryServer(options, &server, state,
-                               engine.updates_enabled(),
-                               MakeSloOptions(options));
-      if (rc != 0) return rc;
-      if (engine.updates_enabled()) {
-        // Fold the WAL into the index so the next open skips replay.
-        // Failure is not fatal: the flushed WAL already holds
-        // everything, recovery just has more to do.
-        sama::Status checkpointed = engine.CheckpointUpdates();
-        if (!checkpointed.ok()) {
-          std::fprintf(stderr,
-                       "note: final checkpoint failed (%s); the WAL "
-                       "replays on the next open\n",
-                       checkpointed.ToString().c_str());
-        }
-      }
-      dump_obs();
-      return 0;
-    }
-
-    // Plain-HTTP serving: the shared diagnostics endpoints plus POST
-    // /query. The 1s sampler and SLO tracker run for the lifetime of
-    // the server, so /debug/timeseries and the SLO-aware /healthz work
-    // here exactly as they do under `serve --binary --http-port`.
-    sama::TimeSeriesRing ring{sama::TimeSeriesRing::Options()};
-    const sama::SloOptions slo_options = MakeSloOptions(options);
-    sama::SloTracker slo(slo_options, &ring);
-    if (slo_options.enabled) {
-      ring.SetOnSample(
-          [&slo](const sama::TimeSeriesRing&) { slo.Evaluate(); });
-    }
-    ring.Start();
-    sama::ObsHttpServer::Options server_options;
-    server_options.host = options.host;
-    server_options.port = static_cast<uint16_t>(options.port);
-    sama::ObsHttpServer server(server_options);
-    ObsState state;
-    state.slow = engine.slow_query_log();
-    state.profiles = engine.profile_log();
-    state.ring = &ring;
-    state.slo = slo_options.enabled ? &slo : nullptr;
-    state.window_seconds = options.window_seconds;
-    RegisterObsEndpoints(&server, state);
-    server.Handle("/query", [&engine, &options,
-                             query_ctx](const sama::HttpRequest& req) {
-      sama::HttpResponse r;
-      r.content_type = "application/json";
-      if (req.method != "POST") {
-        r.status = 405;
-        r.body = "{\"error\":\"POST a SPARQL query as the body\"}\n";
-        return r;
-      }
-      auto query = sama::ParseSparql(req.body);
-      if (!query.ok()) {
-        r.status = 400;
-        r.body = "{\"error\":\"" + sama::JsonEscape(query.status().ToString()) +
-                 "\"}\n";
-        return r;
-      }
-      sama::QueryStats stats;
-      auto answers = engine.ExecuteSparql(*query, options.k, &stats, query_ctx);
-      if (!answers.ok()) {
-        r.status = 500;
-        r.body = "{\"error\":\"" + sama::JsonEscape(answers.status().ToString()) +
-                 "\"}\n";
-        return r;
-      }
-      char num[64];
-      r.body = "{\"answers\":[";
-      for (size_t i = 0; i < answers->size(); ++i) {
-        const sama::Answer& a = (*answers)[i];
-        if (i) r.body += ",";
-        std::snprintf(num, sizeof(num), "%.4f", a.score);
-        r.body += "\n{\"score\":";
-        r.body += num;
-        r.body += ",\"bindings\":{";
-        for (size_t v = 0; v < query->select_vars.size(); ++v) {
-          const std::string& var = query->select_vars[v];
-          const sama::Term* bound = a.binding.Lookup(var);
-          if (v) r.body += ",";
-          r.body += "\"" + sama::JsonEscape(var) + "\":\"" +
-                    sama::JsonEscape(bound != nullptr ? bound->ToString()
-                                                : "") +
-                    "\"";
-        }
-        r.body += "}}";
-      }
-      std::snprintf(num, sizeof(num), "%.3f", stats.total_millis);
-      r.body += "\n],\"total_ms\":";
-      r.body += num;
-      if (stats.profile != nullptr) {
-        r.body += ",\"profile_id\":" +
-                  std::to_string(stats.profile->id());
-      }
-      r.body += "}\n";
-      return r;
-    });
-    sama::Status started = server.Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "serve failed: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    std::printf("serving on http://%s:%u — endpoints: /metrics /healthz"
-                " /debug/queries /debug/profile /debug/timeseries"
-                " /debug/top /debug/trace, POST /query\n",
-                server.host().c_str(),
-                static_cast<unsigned>(server.port()));
-    std::fflush(stdout);
-    for (;;) pause();  // Until SIGINT/SIGTERM.
+    int rc = Serve(options, engine, query_ctx);
+    if (rc == 0) dump_obs();
+    return rc;
   }
 
   if (options.interactive) {
