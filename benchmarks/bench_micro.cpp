@@ -14,9 +14,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <filesystem>
 #include <memory>
 
+#include "bench_util.h"
 #include "core/alignment.h"
 #include "core/clustering.h"
 #include "core/engine.h"
@@ -184,9 +184,10 @@ BENCHMARK(BM_ChiPsi);
 // The forest-search kernel alone: clusters are built once, outside the
 // timed loop, and ForestSearch runs on 1 thread. Arg 0 is GovTrack Q1
 // (k = 10); arg 1 LUBM-1 Q4 (exact at k = 5, 2,755 expansions); arg 2
-// LUBM-1 Q10 (k = 5, bound by the 50,000-expansion budget). The LUBM
-// cases search with ExecuteSparql's projection dedup. ns_per_expansion
-// is the time per branch-and-bound step.
+// LUBM-1 Q10 (k = 5, bound by the 50,000-expansion budget); arg 3
+// LUBM-1 Q12 (k = 5, budget-bound too). The LUBM cases search with
+// ExecuteSparql's projection dedup. ns_per_expansion is the time per
+// branch-and-bound step.
 struct SearchInput {
   std::unique_ptr<DataGraph> graph;
   QueryGraph query;
@@ -207,8 +208,8 @@ SearchInput MakeSearchInput(int which) {
     config.universities = 1;
     in.graph = std::make_unique<DataGraph>(
         DataGraph::FromTriples(GenerateLubm(config)));
-    auto parsed =
-        ParseSparql(MakeLubmQueries()[which == 1 ? 3 : 9].sparql);
+    constexpr size_t kLubmQuery[] = {0, 3, 9, 11};  // Args 1-3: Q4, Q10, Q12.
+    auto parsed = ParseSparql(MakeLubmQueries()[kLubmQuery[which]].sparql);
     patterns = parsed->patterns;
     in.options.dedup_vars = parsed->select_vars;
     in.options.k = 5;
@@ -245,6 +246,37 @@ void BM_ForestSearchTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestSearchTopK)->Arg(0)->Arg(1)->Arg(2);
 
+// The search-table build alone (BuildSearchTables on 1 thread, the
+// tables' teardown included): what a warm query saves when the engine's
+// memo already holds its shape's tables. Arg 2 is LUBM-1 Q10, arg 3
+// LUBM-1 Q12 (MakeSearchInput). us_per_build is the time per build,
+// table_bytes the size of one table set.
+void BM_SearchTablesBuild(benchmark::State& state) {
+  SearchInput in = MakeSearchInput(static_cast<int>(state.range(0)));
+  IntersectionQueryGraph ig(in.query);
+  ScoreParams params;
+  size_t bytes = 0;
+  uint64_t builds = 0;
+  double nanos = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    {
+      auto tables = BuildSearchTables(in.query, ig, in.clusters, params,
+                                      in.options.require_connected);
+      bytes = tables.ok() ? SearchTablesBytes(**tables) : 0;
+      benchmark::DoNotOptimize(tables);
+    }
+    nanos += std::chrono::duration<double, std::nano>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+    ++builds;
+  }
+  state.counters["us_per_build"] =
+      builds == 0 ? 0.0 : nanos / 1e3 / static_cast<double>(builds);
+  state.counters["table_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SearchTablesBuild)->Arg(2)->Arg(3);
+
 void BM_OptimalVsGreedyAlignment(benchmark::State& state) {
   AlignmentInput in = MakeAlignmentInput(16);
   LabelComparator cmp(in.dict.get(), nullptr);
@@ -260,37 +292,20 @@ BENCHMARK(BM_OptimalVsGreedyAlignment)->Arg(0)->Arg(1);
 
 // Shared disk-backed LUBM environment for the end-to-end query-mode
 // benchmarks (built once; google-benchmark re-enters each BM_ body).
-struct QueryEnv {
-  std::unique_ptr<DataGraph> graph;
-  std::unique_ptr<PathIndex> index;
-  Thesaurus thesaurus;
-  std::unique_ptr<SamaEngine> engine;
+struct QueryEnv : bench::LubmEnv {
   QueryGraph query;
 
-  QueryEnv() {
-    LubmConfig config;
-    config.universities = 1;
-    graph = std::make_unique<DataGraph>(
-        DataGraph::FromTriples(GenerateLubm(config)));
-    index = std::make_unique<PathIndex>();
-    PathIndexOptions options;
-    std::string dir = (std::filesystem::temp_directory_path() /
-                       "sama_bench_micro_query")
-                          .string();
-    std::filesystem::create_directories(dir);
-    options.dir = dir;
-    (void)index->Build(*graph, options);
-    thesaurus = Thesaurus::BuiltinEnglish();
-    engine = std::make_unique<SamaEngine>(graph.get(), index.get(),
-                                          &thesaurus);
+  QueryEnv()
+      : bench::LubmEnv(bench::MakeLubmEnv(1, /*on_disk=*/true, "micro_query")) {
     auto parsed = ParseSparql(MakeLubmQueries().front().sparql);
     query = parsed->ToQueryGraph(graph->shared_dict());
   }
 };
 
+// Destroyed at exit, which removes the index directory.
 QueryEnv& GlobalQueryEnv() {
-  static QueryEnv* env = new QueryEnv();
-  return *env;
+  static QueryEnv env;
+  return env;
 }
 
 // Cold: every page and every query-side cache entry dropped before each

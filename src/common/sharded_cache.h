@@ -259,6 +259,16 @@ class ShardedLruCache {
     return erased;
   }
 
+  // Frees the overwritten, evicted and erased nodes no reader can still
+  // hold, in every shard; returns how many. A shard's retire list
+  // otherwise frees them only every few retires, which is fine for
+  // small values; a cache of large ones calls this after its writes.
+  size_t Reclaim() {
+    size_t freed = 0;
+    for (auto& shard : shards_) freed += shard->retired.Reclaim();
+    return freed;
+  }
+
   CacheCounters counters() const {
     CacheCounters total;
     for (const auto& shard : shards_) {

@@ -13,6 +13,14 @@ namespace {
 // Entries of the engine-owned memos (QueryCacheOptions).
 constexpr size_t kLabelMatchEntries = 1 << 16;
 constexpr size_t kAlignmentMemoEntries = 1 << 15;
+// The search-table memo's bounds: at most kSearchTableEntries table sets,
+// each of at most kSearchTableMaxBytes (a larger set serves its own
+// query and is not stored). Its resident bytes are therefore at most
+// 32 x 2 MiB = 64 MiB, plus one evicted set per running search. LUBM-1
+// Q6-Q12 store 5.4 MB (Q12's 1.7 MB is the largest), LUBM-50 Q1-Q5
+// 4.1 MB (Q5's 1.9 MB).
+constexpr size_t kSearchTableEntries = 32;
+constexpr size_t kSearchTableMaxBytes = size_t{2} << 20;
 
 // How long the pool's workers, and a query thread waiting for them, poll
 // before they block (ThreadPool). A query runs several parallel sections
@@ -49,7 +57,64 @@ std::vector<Cluster> MergeSliceClusters(
   return merged;
 }
 
+// The search-table memo key of a query shape: require_connected, then
+// each query path's node ids, node labels and edge labels — all the
+// tables read of the query (the intersection query graph is a function
+// of the paths' node ids). k, dedup, FILTER, the budget and the
+// deadline are search options and never enter the tables.
+std::string SearchTableKey(const QueryGraph& query, bool require_connected) {
+  std::string key(1, require_connected ? '1' : '0');
+  auto put = [&key](uint32_t v) {
+    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  for (const Path& p : query.paths()) {
+    put(static_cast<uint32_t>(p.nodes.size()));
+    for (NodeId n : p.nodes) put(n);
+    for (TermId t : p.node_labels) put(t);
+    for (TermId t : p.edge_labels) put(t);
+  }
+  return key;
+}
+
 }  // namespace
+
+// The forest-search table memo (DESIGN.md §8): per query shape, the
+// table set a search of that shape built. An entry is used only when
+// the query's fresh clusters hold exactly the (path id, λ) sequences it
+// was built from (SearchTablesMatch). Any other difference — an update,
+// a thesaurus change, a degraded read — erases the entry, and the next
+// query of the shape stores its own build, so nothing has to notify the
+// memo of a change.
+struct SamaEngine::SearchTableMemo {
+  ShardedLruCache<std::string, std::shared_ptr<const SearchTables>> cache{
+      kSearchTableEntries};
+  // Bytes of the stored table sets still alive: in the memo, or evicted
+  // and still held by a running search.
+  std::shared_ptr<std::atomic<size_t>> resident =
+      std::make_shared<std::atomic<size_t>>(0);
+
+  void Store(const std::string& key,
+             std::shared_ptr<const SearchTables> tables,
+             CacheCounters* counters) {
+    const size_t bytes = SearchTablesBytes(*tables);
+    resident->fetch_add(bytes, std::memory_order_relaxed);
+    // The stored pointer shares `tables` and returns its bytes when the
+    // last holder lets go.
+    const SearchTables* raw = tables.get();
+    std::shared_ptr<const SearchTables> counted(
+        raw, [tables = std::move(tables), resident = resident,
+              bytes](const SearchTables*) {
+          resident->fetch_sub(bytes, std::memory_order_relaxed);
+        });
+    cache.Put(key, std::move(counted), counters);
+    cache.Reclaim();  // An evicted or overwritten set is megabytes.
+  }
+
+  void Erase(const std::string& key) {
+    cache.EraseIf([&key](const std::string& stored) { return stored == key; });
+    cache.Reclaim();
+  }
+};
 
 // The engine's named registry instruments, resolved once per engine.
 // Naming scheme (DESIGN.md "Observability"): sama_<noun>_total for
@@ -78,6 +143,8 @@ struct EngineInstruments {
   // thesaurus, so deltas would double-count across engines sharing
   // one index).
   Gauge* cache_lock_skips = nullptr;
+  // The search-table memo's resident bytes, refreshed after each query.
+  Gauge* search_table_bytes = nullptr;
 
   struct CacheSet {
     Counter* hits = nullptr;
@@ -93,7 +160,7 @@ struct EngineInstruments {
     }
   };
   CacheSet path_lookups, path_records, label_matches, alignment_memo,
-      thesaurus;
+      thesaurus, search_tables;
 
   static EngineInstruments Resolve(MetricsRegistry* reg) {
     EngineInstruments out;
@@ -146,6 +213,9 @@ struct EngineInstruments {
         "sama_cache_lru_lock_skips",
         "Cache hits that skipped the LRU touch under write contention "
         "(lifetime total across query-side caches).");
+    out.search_table_bytes = reg->GetGauge(
+        "sama_search_tables_bytes",
+        "Bytes of forest-search tables the engine's memo keeps alive.");
     auto cache_set = [reg](const char* name) {
       CacheSet s;
       s.hits = reg->GetCounter("sama_cache_hits_total", "Cache hits.",
@@ -163,6 +233,7 @@ struct EngineInstruments {
     out.label_matches = cache_set("label_matches");
     out.alignment_memo = cache_set("alignment_memo");
     out.thesaurus = cache_set("thesaurus");
+    out.search_tables = cache_set("search_tables");
     return out;
   }
 };
@@ -492,6 +563,7 @@ SamaEngine::SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
         kLabelMatchEntries);
     label_cache_identity_ = std::make_shared<std::atomic<uint64_t>>(
         thesaurus_ == nullptr ? 0 : thesaurus_->identity());
+    table_memo_ = std::make_shared<SearchTableMemo>();
   }
   auto owned = std::make_shared<std::vector<Slice>>();
   for (const IndexSlice& source : slices) {
@@ -528,6 +600,7 @@ SamaEngine::SamaEngine(const DataGraph* graph, std::vector<IndexSlice> slices,
 
 void SamaEngine::DropQueryCaches() const {
   if (label_cache_) label_cache_->Clear();
+  if (table_memo_) table_memo_->cache.Clear();
   for (const Slice& slice : *slices_) {
     if (slice.alignment_memo) slice.alignment_memo->Clear();
     slice.source.index->DropQueryCaches();
@@ -554,6 +627,39 @@ Result<std::vector<Answer>> SamaEngine::Execute(const QueryGraph& query,
                                                 size_t k, QueryStats* stats,
                                                 const QueryContext& ctx) const {
   return Run(query, options_.search, k, stats, ctx);
+}
+
+Result<std::shared_ptr<const SearchTables>> SamaEngine::SearchTablesFor(
+    const QueryGraph& query, const IntersectionQueryGraph& ig,
+    const std::vector<Cluster>& clusters, bool require_connected,
+    std::atomic<uint64_t>* busy_nanos, CacheCounters* counters,
+    bool* reused) const {
+  *reused = false;
+  auto build = [&]() {
+    return BuildSearchTables(query, ig, clusters, options_.params,
+                             require_connected, pool_.get(), busy_nanos);
+  };
+  if (table_memo_ == nullptr) return build();
+  const std::string key = SearchTableKey(query, require_connected);
+  std::shared_ptr<const SearchTables> held;
+  if (table_memo_->cache.Get(key, &held)) {
+    if (SearchTablesMatch(*held, clusters)) {
+      ++counters->hits;
+      *reused = true;
+      return held;
+    }
+    // Built from other clusters: drop it, and let the next query of the
+    // shape store its build.
+    table_memo_->Erase(key);
+    ++counters->misses;
+    return build();
+  }
+  ++counters->misses;
+  auto built = build();
+  if (built.ok() && SearchTablesBytes(**built) <= kSearchTableMaxBytes) {
+    table_memo_->Store(key, *built, counters);
+  }
+  return built;
 }
 
 Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
@@ -721,8 +827,20 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
   std::atomic<uint64_t> search_busy{0};
   ForestSearchStats fstats;
   ObsSpan search_span(trace.get(), "search");
-  auto answers_or = ForestSearch(query, ig, clusters, options_.params, search,
+  ObsSpan tables_span(trace.get(), "search.tables");
+  bool reused = false;
+  auto tables_or =
+      SearchTablesFor(query, ig, clusters, search.require_connected,
+                      &search_busy, &local.search_tables, &reused);
+  if (!tables_or.ok()) return tables_or.status();
+  std::shared_ptr<const SearchTables> tables = std::move(*tables_or);
+  tables_span.SetAttr("reused", reused ? "true" : "false");
+  tables_span = ObsSpan();
+  ObsSpan waves_span(trace.get(), "search.waves");
+  auto answers_or = SearchForest(*tables, clusters, options_.params, search,
                                  pool, &search_busy, &fstats);
+  waves_span = ObsSpan();
+  tables.reset();  // A build the memo did not keep is freed in the search.
   search_span = ObsSpan();
   if (!answers_or.ok()) return answers_or.status();
   local.search_millis = phase.ElapsedMillis();
@@ -766,7 +884,7 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
     summary.search_expansions = local.search_expansions;
     summary.search_truncated = local.search_truncated;
 
-    std::vector<QueryProfile::PhaseCounters> phases(2);
+    std::vector<QueryProfile::PhaseCounters> phases(3);
     phases[0].phase = "clustering";
     {
       ProfileCounters& c = phases[0].counters;
@@ -796,6 +914,9 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
       c.bytes_read = d.bytes_read;
       c.search_expansions = local.search_expansions;
     }
+    phases[2].phase = "search.tables";
+    phases[2].counters.cache_hits = local.search_tables.hits;
+    phases[2].counters.cache_misses = local.search_tables.misses;
     auto profile = std::make_shared<QueryProfile>(
         QueryProfile::Build(trace->Snapshot(), std::move(summary), phases));
     profile_log_->Add(profile);
@@ -827,6 +948,11 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
     ins.label_matches.Add(local.label_match_cache);
     ins.alignment_memo.Add(local.alignment_memo);
     ins.thesaurus.Add(local.thesaurus_cache);
+    ins.search_tables.Add(local.search_tables);
+    if (table_memo_ != nullptr) {
+      ins.search_table_bytes->Set(static_cast<double>(
+          table_memo_->resident->load(std::memory_order_relaxed)));
+    }
     if (local.epoch_advances) {
       ins.epoch_advances->Increment(local.epoch_advances);
     }
@@ -836,6 +962,7 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
     }
     uint64_t skips = 0;
     if (label_cache_ != nullptr) skips += label_cache_->lru_lock_skips();
+    if (table_memo_ != nullptr) skips += table_memo_->cache.lru_lock_skips();
     for (const Slice& slice : slices) {
       if (slice.alignment_memo) skips += slice.alignment_memo->lock_skips();
       skips += slice.source.index->query_cache_lock_skips();

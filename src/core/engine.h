@@ -30,14 +30,15 @@ namespace sama {
 struct EngineInstruments;
 
 // The engine's query-side cache layer: the index caches (candidate
-// lists, path records), the shared label-match memo and the alignment
-// memo, each sized by a constant next to the cache. Every layer is a
-// pure optimisation — answers are byte-identical with `enabled = false`
-// (tests/core/engine_cache_test.cc) — and entry keys embed the
-// thesaurus content identity, so vocabulary changes can never serve
-// stale results. Caches are created at engine construction and shared
-// across queries; that cross-query reuse is where the warm-path
-// speedup comes from.
+// lists, path records), the shared label-match memo, the alignment
+// memo and the forest-search table memo, each bounded by constants next
+// to the cache. Every layer is a pure optimisation — answers are
+// byte-identical with `enabled = false` (tests/core/engine_cache_test.cc)
+// — and no layer can serve a stale result: the clustering caches' keys
+// embed the thesaurus content identity, and a memoized table set is
+// used only for the exact clusters it was built from. Caches are
+// created at engine construction and shared across queries; that
+// cross-query reuse is where the warm-path speedup comes from.
 struct QueryCacheOptions {
   bool enabled = true;
 };
@@ -190,6 +191,9 @@ struct QueryStats {
   CacheCounters label_match_cache;  // Shared label-pair matches.
   CacheCounters alignment_memo;     // Memoized path alignments.
   CacheCounters thesaurus_cache;    // AreRelated BFS memo.
+  // The forest-search table memo: a hit is a memoized table set whose
+  // clusters equal this query's; a stale entry counts as a miss.
+  CacheCounters search_tables;
 
   // Forest-search branch-and-bound accounting
   // (ScoreParams::prune_search); pruning counters stay zero in the
@@ -300,7 +304,8 @@ class SamaEngine {
   }
 
   // Drops every query-side cache entry (engine-owned memos AND the
-  // index's caches) without resizing them — cold-cache experiments.
+  // index's caches) without resizing them — cold-cache experiments, or
+  // a cold search: the next query of every shape rebuilds its tables.
   void DropQueryCaches() const;
 
   // ---------------- Durable live updates (DESIGN.md §12) -------------
@@ -379,6 +384,7 @@ class SamaEngine {
 
  private:
   struct UpdateState;  // Defined in engine.cc (owns the Wal).
+  struct SearchTableMemo;  // Defined in engine.cc.
   // A slice plus its alignment memo: the memo keys on the slice's
   // local path ids, which every shard numbers from 0.
   struct Slice {
@@ -392,6 +398,15 @@ class SamaEngine {
                                   ForestSearchOptions search, size_t k,
                                   QueryStats* stats,
                                   const QueryContext& ctx) const;
+
+  // The search tables for `clusters`: the memo's entry for the query
+  // shape when it was built from these clusters (`*reused`), else a
+  // fresh build. Counts the lookup into `counters`.
+  Result<std::shared_ptr<const SearchTables>> SearchTablesFor(
+      const QueryGraph& query, const IntersectionQueryGraph& ig,
+      const std::vector<Cluster>& clusters, bool require_connected,
+      std::atomic<uint64_t>* busy_nanos, CacheCounters* counters,
+      bool* reused) const;
 
   const DataGraph* graph_;
   const Thesaurus* thesaurus_;
@@ -413,6 +428,9 @@ class SamaEngine {
   // mutated) clears the cache. The alignment memo embeds the identity
   // in its keys and needs no such check.
   std::shared_ptr<std::atomic<uint64_t>> label_cache_identity_;
+  // Engine-owned forest-search table memo, shared like the slices; null
+  // when caching is off.
+  std::shared_ptr<SearchTableMemo> table_memo_;
   // Live-update state (WAL + mutable graph/index + the update lock);
   // null until EnableUpdates. Shared by engine copies so one lock
   // orders updates against every copy's queries.

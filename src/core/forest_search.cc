@@ -1,6 +1,7 @@
 #include "core/forest_search.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -98,6 +99,9 @@ struct NodeSets {
   size_t max_size = 0;  // Largest set: bounds χ against this position.
 
   explicit NodeSets(const std::vector<ScoredPath>& paths) {
+    size_t total = 0;
+    for (const ScoredPath& sp : paths) total += sp.path->nodes.size();
+    ids.reserve(total);
     off.reserve(paths.size() + 1);
     for (const ScoredPath& sp : paths) {
       const size_t from = ids.size();
@@ -384,10 +388,258 @@ struct alignas(kCacheLine) SubtreeArena {
   std::vector<size_t> by_lambda;
 };
 
+// Heap bytes of a vector's buffer.
+template <typename T>
+size_t BufferBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 }  // namespace
 
-Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
-                                         const IntersectionQueryGraph& ig,
+// Every field is written by BuildSearchTables and read-only afterwards.
+struct SearchTables {
+  bool require_connected = true;
+  // Per cluster, in cluster order, its query path; and the active
+  // (non-empty) clusters as indexes into the clusters, with their query
+  // paths. The search reads each answer's parts from these clusters.
+  std::vector<size_t> cluster_query_path;
+  std::vector<size_t> active_cluster;
+  std::vector<size_t> active_query_path;
+  // The empty clusters' deletion penalty, the Ψ of IG edges touching
+  // them (the answer pair shares nothing, costing e·|χ(qi,qj)|), and
+  // their sum.
+  double empty_penalty = 0;
+  double empty_psi = 0;
+  double fixed_cost = 0;
+  // The join order over the active clusters (see JoinOrder), and each
+  // active cluster's join position.
+  std::vector<size_t> order;
+  std::vector<size_t> position_of;
+  // Per join position: the candidates' path ids (for SearchTablesMatch)
+  // and λ, and, at positions an edge touches, their node sets.
+  std::vector<std::vector<PathId>> ids;
+  std::vector<std::vector<double>> lambdas;
+  std::vector<NodeSets> nodes;
+  // IG edges translated to join positions, in ig.edges() order per
+  // completing position (the order ψ is summed in).
+  std::vector<std::vector<JoinEdge>> edges_completing_at;
+  // Admissible remainders: ψ lower bounds of the edges completing at a
+  // position and from it on, and Σ of each unplaced cluster's best λ.
+  std::vector<double> psi_lb_at;
+  std::vector<double> psi_lb_suffix;
+  std::vector<double> min_lambda_suffix;
+
+  size_t HeapBytes() const {
+    size_t total = sizeof(SearchTables) + BufferBytes(cluster_query_path) +
+                   BufferBytes(active_cluster) +
+                   BufferBytes(active_query_path) + BufferBytes(order) +
+                   BufferBytes(position_of) + BufferBytes(ids) +
+                   BufferBytes(lambdas) + BufferBytes(nodes) +
+                   BufferBytes(edges_completing_at) + BufferBytes(psi_lb_at) +
+                   BufferBytes(psi_lb_suffix) +
+                   BufferBytes(min_lambda_suffix);
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      total += BufferBytes(ids[pos]) + BufferBytes(lambdas[pos]) +
+               BufferBytes(nodes[pos].off) + BufferBytes(nodes[pos].ids) +
+               BufferBytes(edges_completing_at[pos]);
+      for (const JoinEdge& edge : edges_completing_at[pos]) {
+        total += BufferBytes(edge.psi) + BufferBytes(edge.row_off) +
+                 BufferBytes(edge.row_ids) + BufferBytes(edge.row_chi);
+      }
+    }
+    return total;
+  }
+};
+
+Result<std::shared_ptr<const SearchTables>> BuildSearchTables(
+    const QueryGraph& query, const IntersectionQueryGraph& ig,
+    const std::vector<Cluster>& clusters, const ScoreParams& params,
+    bool require_connected, ThreadPool* pool,
+    std::atomic<uint64_t>* busy_nanos) {
+  auto tables = std::make_shared<SearchTables>();
+  SearchTables& t = *tables;
+  t.require_connected = require_connected;
+  // Split clusters into the active (non-empty) ones we combine over and
+  // the empty ones we charge a deletion penalty for.
+  std::vector<const Cluster*> active;
+  std::vector<size_t> empty_query_paths;
+  t.cluster_query_path.reserve(clusters.size());
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const Cluster& cluster = clusters[c];
+    t.cluster_query_path.push_back(cluster.query_path_index);
+    if (!cluster.empty()) {
+      if (cluster.size() > std::numeric_limits<uint32_t>::max()) {
+        return Status::OutOfRange("cluster too large for forest search");
+      }
+      active.push_back(&cluster);
+      t.active_cluster.push_back(c);
+      t.active_query_path.push_back(cluster.query_path_index);
+      continue;
+    }
+    const Path& q = query.paths()[cluster.query_path_index];
+    t.empty_penalty +=
+        params.a() * static_cast<double>(q.node_labels.size()) +
+        params.c() * static_cast<double>(q.edge_labels.size());
+    empty_query_paths.push_back(cluster.query_path_index);
+  }
+  if (active.empty()) {
+    return std::shared_ptr<const SearchTables>(std::move(tables));
+  }
+
+  for (const IntersectionQueryGraph::SharedEdge& edge : ig.edges()) {
+    bool i_empty =
+        std::find(empty_query_paths.begin(), empty_query_paths.end(),
+                  edge.qi) != empty_query_paths.end();
+    bool j_empty =
+        std::find(empty_query_paths.begin(), empty_query_paths.end(),
+                  edge.qj) != empty_query_paths.end();
+    if (i_empty || j_empty) {
+      t.empty_psi += PsiCost(edge.shared.size(), 0, params);
+    }
+  }
+  t.fixed_cost = t.empty_penalty + t.empty_psi;
+
+  const size_t m = active.size();
+  t.order = JoinOrder(ig, active);
+  const std::vector<size_t>& order = t.order;
+
+  // Candidate λ and path id per join position, flat, and the longest
+  // candidate path per join position — it bounds the achievable
+  // χ(pi, pj), hence the minimum ψ of a pending edge.
+  t.lambdas.resize(m);
+  t.ids.resize(m);
+  std::vector<size_t> max_len(m, 1);
+  for (size_t pos = 0; pos < m; ++pos) {
+    const std::vector<ScoredPath>& paths = active[order[pos]]->paths;
+    t.lambdas[pos].reserve(paths.size());
+    t.ids[pos].reserve(paths.size());
+    for (const ScoredPath& sp : paths) {
+      t.lambdas[pos].push_back(sp.lambda());
+      t.ids[pos].push_back(sp.id);
+      max_len[pos] = std::max(max_len[pos], sp.path->length());
+    }
+  }
+
+  t.edges_completing_at.resize(m);
+  t.psi_lb_suffix.assign(m + 1, 0.0);
+  t.psi_lb_at.assign(m, 0.0);
+  std::vector<uint8_t> on_edge(m, 0);
+  {
+    // Map query-path index -> join position.
+    std::vector<size_t> position_of_query_path(query.paths().size(), m);
+    for (size_t pos = 0; pos < m; ++pos) {
+      position_of_query_path[t.active_query_path[order[pos]]] = pos;
+    }
+    std::vector<double>& lb_at = t.psi_lb_at;
+    for (const IntersectionQueryGraph::SharedEdge& edge : ig.edges()) {
+      size_t a = position_of_query_path[edge.qi];
+      size_t b = position_of_query_path[edge.qj];
+      if (a >= m || b >= m) continue;  // Touches an empty cluster.
+      if (a > b) std::swap(a, b);
+      JoinEdge join;
+      join.earlier = a;
+      join.chi_q = edge.shared.size();
+      t.edges_completing_at[b].push_back(std::move(join));
+      on_edge[a] = on_edge[b] = 1;
+      size_t max_chi = std::min(max_len[a], max_len[b]);
+      lb_at[b] += params.e * static_cast<double>(edge.shared.size()) /
+                  static_cast<double>(max_chi);
+    }
+    for (size_t pos = m; pos-- > 0;) {
+      t.psi_lb_suffix[pos] = t.psi_lb_suffix[pos + 1] + lb_at[pos];
+    }
+  }
+
+  // Node sets of every position an edge touches (χ reads them), and,
+  // when connectivity is required, their node-sorted postings, which
+  // the rows are merged from. One task per position.
+  std::vector<NodeSets>& nodes = t.nodes;
+  nodes.resize(m);
+  std::vector<NodePostings> postings(m);
+  SAMA_RETURN_IF_ERROR(ParallelFor(
+      pool, m,
+      [&](size_t pos) -> Status {
+        if (on_edge[pos] == 0) return Status::Ok();
+        nodes[pos] = NodeSets(active[order[pos]]->paths);
+        if (nodes[pos].ids.size() > std::numeric_limits<uint32_t>::max()) {
+          return Status::OutOfRange("cluster too large for forest search");
+        }
+        if (require_connected) postings[pos] = NodePostings(nodes[pos]);
+        return Status::Ok();
+      },
+      busy_nanos));
+  // One task per edge: its ψ table and its rows. Each task writes only
+  // its own edge, so the tables are the same at every thread count.
+  std::vector<std::pair<JoinEdge*, size_t>> all_edges;  // (edge, later).
+  for (size_t b = 0; b < m; ++b) {
+    for (JoinEdge& edge : t.edges_completing_at[b]) {
+      all_edges.emplace_back(&edge, b);
+    }
+  }
+  SAMA_RETURN_IF_ERROR(ParallelFor(
+      pool, all_edges.size(),
+      [&](size_t e) -> Status {
+        auto [edge_ptr, b] = all_edges[e];
+        JoinEdge& edge = *edge_ptr;
+        const size_t reach =
+            std::min(nodes[edge.earlier].max_size, nodes[b].max_size);
+        edge.psi.resize(reach + 1);
+        for (size_t chi = 0; chi <= reach; ++chi) {
+          edge.psi[chi] = PsiCost(edge.chi_q, chi, params);
+        }
+        if (require_connected) {
+          edge.BuildRows(postings[edge.earlier], nodes[edge.earlier].count(),
+                         nodes[b], postings[b]);
+        }
+        return Status::Ok();
+      },
+      busy_nanos));
+
+  t.min_lambda_suffix.assign(m + 1, 0.0);
+  for (size_t pos = m; pos-- > 0;) {
+    t.min_lambda_suffix[pos] =
+        t.min_lambda_suffix[pos + 1] + t.lambdas[pos][0];
+  }
+
+  // Join position of each active cluster, for leaves that walk the
+  // parts in cluster order.
+  t.position_of.resize(m);
+  for (size_t pos = 0; pos < m; ++pos) t.position_of[order[pos]] = pos;
+  return std::shared_ptr<const SearchTables>(std::move(tables));
+}
+
+bool SearchTablesMatch(const SearchTables& tables,
+                       const std::vector<Cluster>& clusters) {
+  if (clusters.size() != tables.cluster_query_path.size()) return false;
+  size_t a = 0;  // Next active cluster.
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const Cluster& cluster = clusters[c];
+    if (cluster.query_path_index != tables.cluster_query_path[c]) return false;
+    const bool active =
+        a < tables.active_cluster.size() && tables.active_cluster[a] == c;
+    if (cluster.empty() == active) return false;
+    if (!active) continue;
+    const size_t pos = tables.position_of[a++];
+    const std::vector<PathId>& ids = tables.ids[pos];
+    const std::vector<double>& lambdas = tables.lambdas[pos];
+    if (cluster.size() != ids.size()) return false;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const ScoredPath& sp = cluster.paths[i];
+      // λ bit for bit: the bounds and scores are sums of these values.
+      if (sp.id != ids[i] || std::bit_cast<uint64_t>(sp.lambda()) !=
+                                 std::bit_cast<uint64_t>(lambdas[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+size_t SearchTablesBytes(const SearchTables& tables) {
+  return tables.HeapBytes();
+}
+
+Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
                                          const std::vector<Cluster>& clusters,
                                          const ScoreParams& params,
                                          const ForestSearchOptions& options,
@@ -395,6 +647,13 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
                                          std::atomic<uint64_t>* busy_nanos,
                                          ForestSearchStats* fstats) {
   if (fstats != nullptr) *fstats = ForestSearchStats{};
+  if (options.require_connected != tables.require_connected) {
+    return Status::InvalidArgument(
+        "search tables were built with another require_connected");
+  }
+  if (clusters.size() != tables.cluster_query_path.size()) {
+    return Status::InvalidArgument("clusters do not match the search tables");
+  }
   // Per-request deadline (ForestSearchOptions::deadline): checked at
   // wave boundaries and, inside a subtree, every 64 expansions. With no
   // deadline set the clock is never read, so deadline support cannot
@@ -411,155 +670,37 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
   // modes candidate for candidate.
   const bool prune = params.prune_search;
   const bool dedup = !options.dedup_vars.empty();
-  // Split clusters into the active (non-empty) ones we combine over and
-  // the empty ones we charge a deletion penalty for.
-  std::vector<const Cluster*> active;
-  std::vector<size_t> active_query_path;
-  double empty_penalty = 0;
-  std::vector<size_t> empty_query_paths;
-  for (const Cluster& c : clusters) {
-    if (!c.empty()) {
-      if (c.size() > std::numeric_limits<uint32_t>::max()) {
-        return Status::OutOfRange("cluster too large for forest search");
-      }
-      active.push_back(&c);
-      active_query_path.push_back(c.query_path_index);
-      continue;
-    }
-    const Path& q = query.paths()[c.query_path_index];
-    empty_penalty +=
-        params.a() * static_cast<double>(q.node_labels.size()) +
-        params.c() * static_cast<double>(q.edge_labels.size());
-    empty_query_paths.push_back(c.query_path_index);
-  }
-  if (active.empty()) return std::vector<Answer>{};
+  const size_t m = tables.order.size();
+  if (m == 0) return std::vector<Answer>{};
 
-  // Ψ contribution of IG edges touching an empty cluster: the answer
-  // pair shares nothing, costing e·|χ(qi,qj)| (the |χ(pi,pj)|=0 branch).
-  double empty_psi = 0;
-  for (const IntersectionQueryGraph::SharedEdge& edge : ig.edges()) {
-    bool i_empty =
-        std::find(empty_query_paths.begin(), empty_query_paths.end(),
-                  edge.qi) != empty_query_paths.end();
-    bool j_empty =
-        std::find(empty_query_paths.begin(), empty_query_paths.end(),
-                  edge.qj) != empty_query_paths.end();
-    if (i_empty || j_empty) {
-      empty_psi += PsiCost(edge.shared.size(), 0, params);
-    }
-  }
-  const double fixed_cost = empty_penalty + empty_psi;
+  // ---- The shared read-only tables. Nothing below mutates them, so
+  // every subtree reads them without locking.
+  const std::vector<size_t>& order = tables.order;
+  const std::vector<size_t>& position_of = tables.position_of;
+  const std::vector<size_t>& active_query_path = tables.active_query_path;
+  const std::vector<std::vector<double>>& lambdas = tables.lambdas;
+  const std::vector<NodeSets>& nodes = tables.nodes;
+  const std::vector<std::vector<JoinEdge>>& edges_completing_at =
+      tables.edges_completing_at;
+  const std::vector<double>& psi_lb_at = tables.psi_lb_at;
+  const std::vector<double>& psi_lb_suffix = tables.psi_lb_suffix;
+  const std::vector<double>& min_lambda_suffix = tables.min_lambda_suffix;
+  const double empty_penalty = tables.empty_penalty;
+  const double empty_psi = tables.empty_psi;
+  const double fixed_cost = tables.fixed_cost;
 
-  const size_t m = active.size();
-  const std::vector<size_t> order = JoinOrder(ig, active);
-
-  auto candidate = [&](size_t pos, size_t idx) -> const ScoredPath& {
-    return active[order[pos]]->paths[idx];
-  };
-
-  // ---- Shared read-only tables, built once before the waves. Nothing
-  // below mutates them, so every subtree reads them without locking.
-
-  // Candidate λ per join position, flat.
-  std::vector<std::vector<double>> lambdas(m);
-  // Longest candidate path per join position — bounds the achievable
-  // χ(pi, pj), hence the minimum ψ of a pending edge.
-  std::vector<size_t> max_len(m, 1);
+  // Each join position's candidates, in the caller's clusters.
+  std::vector<const ScoredPath*> paths_at(m);
   for (size_t pos = 0; pos < m; ++pos) {
-    lambdas[pos].reserve(active[order[pos]]->size());
-    for (const ScoredPath& sp : active[order[pos]]->paths) {
-      lambdas[pos].push_back(sp.lambda());
-      max_len[pos] = std::max(max_len[pos], sp.path->length());
+    const Cluster& cluster = clusters[tables.active_cluster[order[pos]]];
+    if (cluster.size() != lambdas[pos].size()) {
+      return Status::InvalidArgument("clusters do not match the search tables");
     }
+    paths_at[pos] = cluster.paths.data();
   }
-
-  // IG edges translated to join positions, in ig.edges() order per
-  // completing position (the order ψ is summed in).
-  std::vector<std::vector<JoinEdge>> edges_completing_at(m);
-  std::vector<double> psi_lb_suffix(m + 1, 0.0);
-  std::vector<double> psi_lb_at(m, 0.0);
-  std::vector<uint8_t> on_edge(m, 0);
-  {
-    // Map query-path index -> join position.
-    std::vector<size_t> position_of_query_path(query.paths().size(), m);
-    for (size_t pos = 0; pos < m; ++pos) {
-      position_of_query_path[active_query_path[order[pos]]] = pos;
-    }
-    std::vector<double>& lb_at = psi_lb_at;
-    for (const IntersectionQueryGraph::SharedEdge& edge : ig.edges()) {
-      size_t a = position_of_query_path[edge.qi];
-      size_t b = position_of_query_path[edge.qj];
-      if (a >= m || b >= m) continue;  // Touches an empty cluster.
-      if (a > b) std::swap(a, b);
-      JoinEdge join;
-      join.earlier = a;
-      join.chi_q = edge.shared.size();
-      edges_completing_at[b].push_back(std::move(join));
-      on_edge[a] = on_edge[b] = 1;
-      size_t max_chi = std::min(max_len[a], max_len[b]);
-      lb_at[b] += params.e * static_cast<double>(edge.shared.size()) /
-                  static_cast<double>(max_chi);
-    }
-    for (size_t pos = m; pos-- > 0;) {
-      psi_lb_suffix[pos] = psi_lb_suffix[pos + 1] + lb_at[pos];
-    }
-  }
-
-  // Node sets of every position an edge touches (χ reads them), and,
-  // when connectivity is required, their node-sorted postings, which
-  // the rows are merged from. One task per position.
-  std::vector<NodeSets> nodes(m);
-  std::vector<NodePostings> postings(m);
-  SAMA_RETURN_IF_ERROR(ParallelFor(
-      pool, m,
-      [&](size_t pos) -> Status {
-        if (on_edge[pos] == 0) return Status::Ok();
-        nodes[pos] = NodeSets(active[order[pos]]->paths);
-        if (nodes[pos].ids.size() > std::numeric_limits<uint32_t>::max()) {
-          return Status::OutOfRange("cluster too large for forest search");
-        }
-        if (options.require_connected) postings[pos] = NodePostings(nodes[pos]);
-        return Status::Ok();
-      },
-      busy_nanos));
-  // One task per edge: its ψ table and its rows. Each task writes only
-  // its own edge, so the tables are the same at every thread count.
-  std::vector<std::pair<JoinEdge*, size_t>> all_edges;  // (edge, later).
-  for (size_t b = 0; b < m; ++b) {
-    for (JoinEdge& edge : edges_completing_at[b]) {
-      all_edges.emplace_back(&edge, b);
-    }
-  }
-  SAMA_RETURN_IF_ERROR(ParallelFor(
-      pool, all_edges.size(),
-      [&](size_t e) -> Status {
-        auto [edge_ptr, b] = all_edges[e];
-        JoinEdge& edge = *edge_ptr;
-        const size_t reach =
-            std::min(nodes[edge.earlier].max_size, nodes[b].max_size);
-        edge.psi.resize(reach + 1);
-        for (size_t chi = 0; chi <= reach; ++chi) {
-          edge.psi[chi] = PsiCost(edge.chi_q, chi, params);
-        }
-        if (options.require_connected) {
-          edge.BuildRows(postings[edge.earlier], nodes[edge.earlier].count(),
-                         nodes[b], postings[b]);
-        }
-        return Status::Ok();
-      },
-      busy_nanos));
-  postings = {};
-
-  // Admissible λ remainder: Σ of each unplaced cluster's best λ.
-  std::vector<double> min_lambda_suffix(m + 1, 0.0);
-  for (size_t pos = m; pos-- > 0;) {
-    min_lambda_suffix[pos] = min_lambda_suffix[pos + 1] + lambdas[pos][0];
-  }
-
-  // Join position of each active cluster, for leaves that walk the
-  // parts in cluster order.
-  std::vector<size_t> position_of(m);
-  for (size_t pos = 0; pos < m; ++pos) position_of[order[pos]] = pos;
+  auto candidate = [&](size_t pos, size_t idx) -> const ScoredPath& {
+    return paths_at[pos][idx];
+  };
 
   const std::string unbound = Term::Literal("").ToString();
   auto tuple_key = [&](const Answer& answer) {
@@ -628,7 +769,7 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
 
   // One arena per wave slot. A position's narrowing buffers never hold
   // more candidates than the smallest of its back edges' longest rows.
-  const size_t num_subtrees = active[order[0]]->size();
+  const size_t num_subtrees = lambdas[0].size();
   std::vector<SubtreeArena> arenas(
       m == 1 ? 1 : std::min(kWaveSize, num_subtrees));
   for (SubtreeArena& ar : arenas) {
@@ -1014,6 +1155,22 @@ Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
     fstats->truncated = truncated;
   }
   return results;
+}
+
+Result<std::vector<Answer>> ForestSearch(const QueryGraph& query,
+                                         const IntersectionQueryGraph& ig,
+                                         const std::vector<Cluster>& clusters,
+                                         const ScoreParams& params,
+                                         const ForestSearchOptions& options,
+                                         ThreadPool* pool,
+                                         std::atomic<uint64_t>* busy_nanos,
+                                         ForestSearchStats* fstats) {
+  if (fstats != nullptr) *fstats = ForestSearchStats{};
+  auto tables = BuildSearchTables(query, ig, clusters, params,
+                                  options.require_connected, pool, busy_nanos);
+  if (!tables.ok()) return tables.status();
+  return SearchForest(**tables, clusters, params, options, pool, busy_nanos,
+                      fstats);
 }
 
 }  // namespace sama

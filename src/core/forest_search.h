@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,36 @@ struct ForestSearchStats {
   }
 };
 
+// The search's read-only tables for one query shape and one set of
+// clusters (DESIGN.md §6, §8): the join order, per join position the
+// candidates' λ, node sets and path ids, per intersection-graph edge
+// its ψ table and connectivity rows, and the bounds' fixed costs and
+// suffix sums. A pure function of the query paths, `require_connected`,
+// the score parameters and the clusters' (path id, λ) sequences. It
+// holds no pointer into the clusters, so it stays valid after they are
+// gone, and it is never written after BuildSearchTables returns, so
+// any number of searches may share one. Defined in forest_search.cc.
+struct SearchTables;
+
+// Builds the tables for `clusters` (one ParallelFor task per join
+// position, then one per edge; identical at every thread count).
+// `busy_nanos`, when non-null, accumulates the time threads spent.
+Result<std::shared_ptr<const SearchTables>> BuildSearchTables(
+    const QueryGraph& query, const IntersectionQueryGraph& ig,
+    const std::vector<Cluster>& clusters, const ScoreParams& params,
+    bool require_connected, ThreadPool* pool = nullptr,
+    std::atomic<uint64_t>* busy_nanos = nullptr);
+
+// True when `clusters` hold exactly the (path id, λ) sequences, cluster
+// by cluster, that `tables` were built from, so the tables equal what
+// BuildSearchTables would build from them under the same query shape
+// and parameters (path ids name immutable records).
+bool SearchTablesMatch(const SearchTables& tables,
+                       const std::vector<Cluster>& clusters);
+
+// Heap bytes the tables hold.
+size_t SearchTablesBytes(const SearchTables& tables);
+
 // The Search step (§5): organises the clusters' paths into a forest
 // whose edges carry ⟨(qi,qj):[ψ]⟩ labels and generates the top-k
 // solutions best-first by Σλ with exact rescoring by Λ + Ψ. Worst case
@@ -135,6 +166,18 @@ struct ForestSearchStats {
 // accumulates the time threads spent searching.
 // `fstats`, when non-null, receives the expansion/pruning counters of
 // this call (overwritten, not accumulated).
+//
+// `tables` must have been built from `clusters`' (path id, λ)
+// sequences (SearchTablesMatch) under `params` and
+// options.require_connected (InvalidArgument otherwise); each answer's
+// parts and φ are read from `clusters`.
+Result<std::vector<Answer>> SearchForest(
+    const SearchTables& tables, const std::vector<Cluster>& clusters,
+    const ScoreParams& params, const ForestSearchOptions& options,
+    ThreadPool* pool = nullptr, std::atomic<uint64_t>* busy_nanos = nullptr,
+    ForestSearchStats* fstats = nullptr);
+
+// BuildSearchTables, then SearchForest over the fresh tables.
 Result<std::vector<Answer>> ForestSearch(
     const QueryGraph& query, const IntersectionQueryGraph& ig,
     const std::vector<Cluster>& clusters, const ScoreParams& params,

@@ -7,6 +7,9 @@ namespace sama {
 
 Status HypergraphStore::Open(const Options& options) {
   env_ = options.env;
+  vertex_records_.clear();  // Whatever an earlier Open loaded.
+  edge_records_.clear();
+  manifest_base_.clear();
   RecordStore::Options ro;
   ro.path = options.path;
   ro.truncate = options.truncate;

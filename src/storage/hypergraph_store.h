@@ -41,6 +41,8 @@ class HypergraphStore {
   HypergraphStore(const HypergraphStore&) = delete;
   HypergraphStore& operator=(const HypergraphStore&) = delete;
 
+  // Opens the store, dropping whatever an earlier Open of this object
+  // loaded.
   Status Open(const Options& options);
   Status Close();
 

@@ -8,6 +8,8 @@ namespace sama {
 Status PathStore::Open(const Options& options) {
   compress_ = options.compress;
   env_ = options.env;
+  record_ids_.clear();  // Whatever an earlier Open loaded.
+  manifest_path_.clear();
   RecordStore::Options ro;
   ro.path = options.path;
   ro.truncate = options.truncate;

@@ -39,6 +39,8 @@ class PathStore {
   PathStore(const PathStore&) = delete;
   PathStore& operator=(const PathStore&) = delete;
 
+  // Opens the store, dropping whatever an earlier Open of this object
+  // loaded.
   Status Open(const Options& options);
   Status Close();
 

@@ -33,6 +33,14 @@ uint64_t GetU64(const uint8_t* buf) {
 }  // namespace
 
 Status RecordStore::Open(const Options& options) {
+  // Nothing an earlier Open loaded survives: a fresh or truncated file
+  // starts empty, and an existing one reads its own header.
+  pool_.reset();
+  file_.reset();
+  tail_page_ = 0;
+  tail_offset_ = 0;
+  mem_records_.clear();
+  record_count_ = 0;
   if (options.path.empty()) return Status::Ok();  // Memory backend.
   file_ = std::make_unique<PageFile>();
   SAMA_RETURN_IF_ERROR(

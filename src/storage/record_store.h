@@ -49,6 +49,8 @@ class RecordStore {
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
 
+  // Opens the store, dropping whatever an earlier Open of this object
+  // loaded.
   Status Open(const Options& options);
   Status Close();
 

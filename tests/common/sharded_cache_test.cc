@@ -92,6 +92,35 @@ TEST(ShardedCacheTest, ClearEmptiesEntriesButKeepsLifetimeCounters) {
   EXPECT_EQ(delta.misses, 1u);
 }
 
+// An overwritten, erased or evicted value waits in its shard's retire
+// list; Reclaim frees it once no reader can hold it (two epoch
+// advances), without waiting for the list's amortized sweep.
+TEST(ShardedCacheTest, ReclaimFreesRetiredValues) {
+  ShardedLruCache<int, std::shared_ptr<int>> cache(1, 1);
+  std::vector<std::weak_ptr<int>> retired;
+  auto put = [&](int key) {
+    auto value = std::make_shared<int>(key);
+    retired.push_back(value);
+    cache.Put(key, std::move(value));
+  };
+  put(1);
+  put(1);                                           // Overwrite.
+  cache.EraseIf([](int key) { return key == 1; });  // Erase.
+  put(2);
+  put(3);  // Evicts 2.
+  ASSERT_EQ(retired.size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(retired[i].expired()) << i << " freed before Reclaim";
+  }
+  for (int round = 0; round < 3; ++round) cache.Reclaim();
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(retired[i].expired()) << i << " not freed by Reclaim";
+  }
+  std::shared_ptr<int> live;
+  ASSERT_TRUE(cache.Get(3, &live));
+  EXPECT_EQ(*live, 3);
+}
+
 TEST(ShardedCacheTest, CapacityClampsToOneEntryPerShard) {
   ShardedLruCache<int, int> cache(0, 4);
   EXPECT_EQ(cache.capacity(), 4u);  // Minimum one slot per shard.

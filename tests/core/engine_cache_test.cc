@@ -1,9 +1,9 @@
 // The engine's query-side cache layer (QueryCacheOptions): warm runs
-// must hit every layer and miss none, answers must be byte-identical
-// with caching on, off, warm or cold, incremental updates must
-// invalidate exactly the stale entries, and a record that fails its
-// read is NEVER cached — the PR-2 degraded-read semantics survive the
-// cache.
+// must hit every layer and miss none, the search-table memo included;
+// answers must be byte-identical with caching on, off, warm or cold,
+// incremental updates must invalidate exactly the stale entries, and a
+// record that fails its read is NEVER cached — the PR-2 degraded-read
+// semantics survive the cache.
 
 #include <gtest/gtest.h>
 
@@ -115,6 +115,11 @@ TEST(EngineCacheTest, WarmRunHitsEveryCacheLayer) {
     EXPECT_EQ(warm.alignment_memo.misses, 0u) << bq.name;
     // And the cold run populated rather than hit the lookup memo.
     EXPECT_GT(cold.path_lookup_cache.insertions, 0u) << bq.name;
+    // The search tables: built and stored once, then reused.
+    EXPECT_EQ(cold.search_tables.misses, 1u) << bq.name;
+    EXPECT_EQ(cold.search_tables.insertions, 1u) << bq.name;
+    EXPECT_EQ(warm.search_tables.hits, 1u) << bq.name;
+    EXPECT_EQ(warm.search_tables.misses, 0u) << bq.name;
   }
 }
 
@@ -133,6 +138,8 @@ TEST(EngineCacheTest, DisabledCachesReportNoActivity) {
   EXPECT_EQ(stats.path_record_cache.lookups(), 0u);
   EXPECT_EQ(stats.label_match_cache.lookups(), 0u);
   EXPECT_EQ(stats.alignment_memo.lookups(), 0u);
+  EXPECT_EQ(stats.search_tables.lookups(), 0u);
+  EXPECT_EQ(stats.search_tables.insertions, 0u);
   // (The thesaurus relatedness memo is internal to Thesaurus and not
   // governed by QueryCacheOptions.)
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <set>
 
 #include "core/score.h"
@@ -193,6 +195,57 @@ TEST_F(ForestSearchTest, ExpiredDeadlineTruncatesWithoutLeaking) {
     EXPECT_EQ((*again)[i].score, (*reference)[i].score) << i;
     EXPECT_EQ((*again)[i].enum_key, (*reference)[i].enum_key) << i;
   }
+}
+
+// A table set matches exactly the (path id, λ) sequences it was built
+// from; searching a copy of those clusters over it answers like
+// ForestSearch, and the search refuses tables built with another
+// require_connected.
+TEST_F(ForestSearchTest, TablesServeOnlyTheirClusters) {
+  QueryGraph query = env_.Query1();
+  IntersectionQueryGraph ig(query);
+  auto built = BuildClusters(query, env_.index(), &env_.thesaurus(), params_,
+                             ClusteringOptions());
+  ASSERT_TRUE(built.ok());
+  const std::vector<Cluster>& clusters = *built;
+  auto tables = BuildSearchTables(query, ig, clusters, params_, true);
+  ASSERT_TRUE(tables.ok());
+  EXPECT_TRUE(SearchTablesMatch(**tables, clusters));
+  EXPECT_GT(SearchTablesBytes(**tables), 0u);
+
+  ForestSearchOptions options;
+  options.k = 5;
+  std::vector<Cluster> copy = clusters;
+  auto reused = SearchForest(**tables, copy, params_, options);
+  auto fresh = ForestSearch(query, ig, clusters, params_, options);
+  ASSERT_TRUE(reused.ok());
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(reused->size(), fresh->size());
+  for (size_t i = 0; i < fresh->size(); ++i) {
+    EXPECT_EQ((*reused)[i].score, (*fresh)[i].score);
+    EXPECT_EQ((*reused)[i].enum_key, (*fresh)[i].enum_key);
+  }
+
+  ASSERT_FALSE(clusters[0].paths.empty());
+  std::vector<Cluster> other_id = clusters;
+  other_id[0].paths[0].id += 1000;
+  EXPECT_FALSE(SearchTablesMatch(**tables, other_id));
+  std::vector<Cluster> other_lambda = clusters;
+  auto moved =
+      std::make_shared<PathAlignment>(*other_lambda[0].paths[0].alignment);
+  moved->lambda = std::nextafter(moved->lambda, 1e9);
+  other_lambda[0].paths[0].alignment = moved;
+  EXPECT_FALSE(SearchTablesMatch(**tables, other_lambda));
+  std::vector<Cluster> fewer = clusters;
+  fewer[0].paths.pop_back();
+  EXPECT_FALSE(SearchTablesMatch(**tables, fewer));
+  std::vector<Cluster> emptied = clusters;
+  emptied[0].paths.clear();
+  EXPECT_FALSE(SearchTablesMatch(**tables, emptied));
+
+  options.require_connected = false;
+  auto refused = SearchForest(**tables, clusters, params_, options);
+  EXPECT_EQ(refused.status().code(), Status::Code::kInvalidArgument);
 }
 
 // Two data paths sharing more nodes than a connectivity row's χ counter

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -149,6 +151,77 @@ TEST(ParallelDeterminismTest, ScaleFreeMatchesSerial) {
       "hub-star",
       env.Parse("SELECT ?x WHERE { ?x <" + rel + "linksTo> <" + ent +
                 "Entity0> . ?x <" + rel + "tag> ?t }"));
+}
+
+// A graph with its own index and one engine (engine construction
+// configures the index's caches, so engines with different cache
+// settings need separate indexes).
+struct OwnedEngine {
+  std::unique_ptr<DataGraph> graph;
+  std::unique_ptr<PathIndex> index;
+  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
+  std::unique_ptr<SamaEngine> engine;
+
+  OwnedEngine(std::vector<Triple> triples, bool cache_enabled) {
+    graph = std::make_unique<DataGraph>(
+        DataGraph::FromTriples(std::move(triples)));
+    index = std::make_unique<PathIndex>();
+    Status s = index->Build(*graph, PathIndexOptions());
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EngineOptions options;
+    options.cache.enabled = cache_enabled;
+    engine = std::make_unique<SamaEngine>(graph.get(), index.get(),
+                                          &thesaurus, options);
+  }
+};
+
+// Four threads run one query shape at once on one engine: the first
+// queries race to build and store its search tables while the others
+// read them from the memo. Every answer list must equal the caches-off
+// engine's, and each query must look the memo up exactly once.
+TEST(SearchTableMemoConcurrencyTest, FourThreadsShareOneShape) {
+  LubmConfig config;
+  config.universities = 1;
+  OwnedEngine cached(GenerateLubm(config), /*cache_enabled=*/true);
+  OwnedEngine uncached(GenerateLubm(config), /*cache_enabled=*/false);
+  auto parsed = ParseSparql(MakeLubmQueries()[5].sparql);  // Q6.
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto reference = uncached.engine->ExecuteSparql(*parsed, 5);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_FALSE(reference->empty());
+  const std::string expected = Signature(*reference);
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRuns = 8;
+  std::vector<std::string> got(kThreads * kRuns);
+  std::vector<CacheCounters> lookups(kThreads * kRuns);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) {
+      }
+      for (size_t r = 0; r < kRuns; ++r) {
+        QueryStats stats;
+        auto answers = cached.engine->ExecuteSparql(*parsed, 5, &stats);
+        got[t * kRuns + r] = answers.ok() ? Signature(*answers)
+                                          : answers.status().ToString();
+        lookups[t * kRuns + r] = stats.search_tables;
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  CacheCounters total;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected) << "query " << i;
+    EXPECT_EQ(lookups[i].lookups(), 1u) << "query " << i;
+    total += lookups[i];
+  }
+  EXPECT_GE(total.misses, 1u);
+  EXPECT_GE(total.insertions, 1u);
+  EXPECT_LE(total.misses, kThreads);  // Only queries racing the first.
 }
 
 }  // namespace

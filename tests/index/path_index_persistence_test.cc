@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "datasets/govtrack.h"
@@ -81,6 +85,74 @@ TEST(PathIndexPersistenceTest, FullEngineOverReopenedIndex) {
   EXPECT_DOUBLE_EQ((*answers)[0].lambda_total, 0.0);
   EXPECT_EQ((*answers)[0].binding.Lookup("v3")->DisplayLabel(),
             "PierceDickes");
+}
+
+// Score, λ, Ψ and part ids of every answer, one answer per line.
+std::string AnswerSignature(const std::vector<Answer>& answers) {
+  std::string out;
+  char buf[96];
+  for (const Answer& a : answers) {
+    std::snprintf(buf, sizeof(buf), "%.17g|%.17g|%.17g|", a.score,
+                  a.lambda_total, a.psi_total);
+    out += buf;
+    for (const ScoredPath& part : a.parts) {
+      out += std::to_string(part.id) + ',';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string QueryOneSignature(const DataGraph& graph, const PathIndex& index) {
+  Thesaurus thesaurus = Thesaurus::BuiltinEnglish();
+  SamaEngine engine(&graph, &index, &thesaurus);
+  auto answers =
+      engine.Execute(engine.BuildQueryGraph(GovTrackQuery1Patterns()), 10);
+  EXPECT_TRUE(answers.ok()) << answers.status();
+  return answers.ok() ? AnswerSignature(*answers) : "";
+}
+
+// An Open that fails after opening its stores (here: unreadable
+// metadata) must not leave their records behind: a Build on the same
+// object then equals a fresh Build, and so does the index it commits.
+TEST(PathIndexPersistenceTest, BuildAfterFailedOpenMatchesFreshBuild) {
+  std::string dir = FreshDir("failed_open");
+  std::vector<Triple> triples = GovTrackFigure1Triples();
+  PathIndexOptions options;
+  options.dir = dir;
+  DataGraph fresh_graph = DataGraph::FromTriples(triples);
+  IndexStats fresh_stats;
+  std::string fresh_answers;
+  {
+    PathIndex fresh;
+    ASSERT_TRUE(fresh.Build(fresh_graph, options).ok());
+    fresh_stats = fresh.stats();
+    fresh_answers = QueryOneSignature(fresh_graph, fresh);
+  }
+  ASSERT_FALSE(fresh_answers.empty());
+
+  {
+    std::ofstream meta(dir + "/index.meta",
+                       std::ios::binary | std::ios::trunc);
+    meta << "garbage";
+  }
+  DataGraph graph = DataGraph::FromTriples(triples);
+  PathIndex index;
+  ASSERT_FALSE(index.Open(&graph, options).ok());
+  ASSERT_TRUE(index.Build(graph, options).ok());
+  EXPECT_EQ(index.path_count(), fresh_stats.num_paths);
+  EXPECT_EQ(index.stats().num_paths, fresh_stats.num_paths);
+  EXPECT_EQ(index.stats().hv, fresh_stats.hv);
+  EXPECT_EQ(index.stats().he, fresh_stats.he);
+  EXPECT_EQ(QueryOneSignature(graph, index), fresh_answers);
+
+  DataGraph reopened_graph = DataGraph::FromTriples(triples);
+  PathIndex reopened;
+  ASSERT_TRUE(reopened.Open(&reopened_graph, options).ok());
+  EXPECT_EQ(reopened.path_count(), fresh_stats.num_paths);
+  EXPECT_EQ(reopened.stats().hv, fresh_stats.hv);
+  EXPECT_EQ(reopened.stats().he, fresh_stats.he);
+  EXPECT_EQ(QueryOneSignature(reopened_graph, reopened), fresh_answers);
 }
 
 TEST(PathIndexPersistenceTest, MismatchedGraphRejected) {

@@ -184,6 +184,42 @@ TEST(EngineObsTest, TraceAttachedToStatsWhenEnabled) {
     }
   }
   EXPECT_TRUE(saw_preprocess && saw_clustering && saw_search);
+
+  // The search splits into its table lookup-or-build and its waves, in
+  // that order; a repeat of the query reuses the memoized tables.
+  auto search_children = [](const QueryTrace& trace) {
+    std::vector<TraceSpan> spans = trace.Snapshot();
+    uint64_t search_id = 0;
+    for (const TraceSpan& s : spans) {
+      if (s.name == "search") search_id = s.id;
+    }
+    std::vector<TraceSpan> children;
+    for (const TraceSpan& s : spans) {
+      if (search_id != 0 && s.parent == search_id) children.push_back(s);
+    }
+    return children;
+  };
+  auto reused = [](const TraceSpan& span) {
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "reused") return value;
+    }
+    return std::string("(none)");
+  };
+  std::vector<TraceSpan> cold = search_children(*stats.trace);
+  ASSERT_EQ(cold.size(), 2u);
+  EXPECT_EQ(cold[0].name, "search.tables");
+  EXPECT_EQ(cold[1].name, "search.waves");
+  EXPECT_LE(cold[0].start_millis, cold[1].start_millis);
+  EXPECT_EQ(reused(cold[0]), "false");
+
+  QueryStats again;
+  ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &again).ok());
+  ASSERT_NE(again.trace, nullptr);
+  std::vector<TraceSpan> warm = search_children(*again.trace);
+  ASSERT_EQ(warm.size(), 2u);
+  EXPECT_EQ(warm[0].name, "search.tables");
+  EXPECT_EQ(reused(warm[0]), "true");
+  EXPECT_EQ(warm[1].name, "search.waves");
 }
 
 TEST(EngineObsTest, NoTraceByDefaultAndAnswersIdentical) {
@@ -404,12 +440,34 @@ TEST(EngineObsTest, ProfileAttachedWithPhaseTreeAndCounters) {
   const ProfileNode* search = FindProfileNode(profile, "search");
   ASSERT_NE(search, nullptr);
   EXPECT_EQ(search->counters.search_expansions, stats.search_expansions);
+  // Its children: the table build (a memo miss on this first query) and
+  // the waves.
+  ASSERT_EQ(search->children.size(), 2u);
+  const ProfileNode& tables = profile.nodes()[search->children[0]];
+  const ProfileNode& waves = profile.nodes()[search->children[1]];
+  EXPECT_EQ(tables.name, "search.tables");
+  EXPECT_EQ(tables.counters.cache_misses, 1u);
+  EXPECT_EQ(tables.counters.cache_hits, 0u);
+  EXPECT_EQ(waves.name, "search.waves");
 
   // The rendered explain is non-trivially shaped (end-to-end sanity;
   // the format itself is golden-locked in exporter_test).
   std::string explain = RenderExplainAnalyze(profile);
   EXPECT_NE(explain.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(explain.find("└─ search"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("├─ search.tables"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("└─ search.waves"), std::string::npos) << explain;
+
+  // A repeat reuses the tables, and the profile says so.
+  QueryStats again;
+  ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &again).ok());
+  ASSERT_NE(again.profile, nullptr);
+  const ProfileNode* reused = FindProfileNode(*again.profile, "search.tables");
+  ASSERT_NE(reused, nullptr);
+  EXPECT_EQ(reused->counters.cache_hits, 1u);
+  EXPECT_EQ(reused->counters.cache_misses, 0u);
+  EXPECT_NE(RenderExplainAnalyze(*again.profile).find("[cache 1 hit / 0 miss]"),
+            std::string::npos);
 }
 
 TEST(EngineObsTest, ProfileLogRetainsRecentQueriesWithMonotonicIds) {

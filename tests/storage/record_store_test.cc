@@ -91,6 +91,23 @@ INSTANTIATE_TEST_SUITE_P(DiskAndMemory, RecordStoreTest, testing::Bool(),
                            return info.param ? "Disk" : "Memory";
                          });
 
+// Opening a fresh (truncated) store on an object that held another
+// store drops that store's records, in both backends.
+TEST_P(RecordStoreTest, ReopenTruncatedStartsEmpty) {
+  RecordStore store;
+  ASSERT_TRUE(store.Open(Opts()).ok());
+  ASSERT_TRUE(store.Append(Bytes("old")).ok());
+  ASSERT_TRUE(store.Close().ok());
+  ASSERT_TRUE(store.Open(Opts()).ok());
+  EXPECT_EQ(store.record_count(), 0u);
+  auto id = store.Append(Bytes("new"));
+  ASSERT_TRUE(id.ok());
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(store.Read(*id, &out).ok());
+  EXPECT_EQ(Str(out), "new");
+  EXPECT_EQ(store.record_count(), 1u);
+}
+
 TEST(RecordStoreDiskTest, RecordTooLargeRejected) {
   RecordStore store;
   RecordStore::Options o;

@@ -864,6 +864,7 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
     print_cache("labels:", stats.label_match_cache);
     print_cache("alignments:", stats.alignment_memo);
     print_cache("thesaurus:", stats.thesaurus_cache);
+    print_cache("tables:", stats.search_tables);
     if (stats.corrupt_records_skipped > 0 || stats.io_retries > 0) {
       std::printf(
           "-- degraded reads: %llu corrupt record(s) skipped, "
