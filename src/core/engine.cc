@@ -839,6 +839,9 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
   ObsSpan waves_span(trace.get(), "search.waves");
   auto answers_or = SearchForest(*tables, clusters, options_.params, search,
                                  pool, &search_busy, &fstats);
+  waves_span.SetAttr("intersections", std::to_string(fstats.intersections));
+  waves_span.SetAttr("intersections_reused",
+                     std::to_string(fstats.intersections_reused));
   waves_span = ObsSpan();
   tables.reset();  // A build the memo did not keep is freed in the search.
   search_span = ObsSpan();
@@ -848,6 +851,8 @@ Result<std::vector<Answer>> SamaEngine::Run(const QueryGraph& query,
   local.search_expansions = fstats.expansions;
   local.search_bound_pruned = fstats.bound_pruned;
   local.search_roots_pruned = fstats.roots_pruned;
+  local.search_intersections = fstats.intersections;
+  local.search_intersections_reused = fstats.intersections_reused;
   local.search_truncated = fstats.truncated;
 
   // Per-query cache stats come straight from this query's scoped sinks.

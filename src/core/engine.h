@@ -201,6 +201,10 @@ struct QueryStats {
   uint64_t search_expansions = 0;
   uint64_t search_bound_pruned = 0;
   uint64_t search_roots_pruned = 0;
+  // The connectivity check's prefix slots rebuilt and reused
+  // (ForestSearchStats::intersections, intersections_reused).
+  uint64_t search_intersections = 0;
+  uint64_t search_intersections_reused = 0;
   // Shards that were unusable (damaged index or sidecar) and therefore
   // contributed no candidates to this query (ShardedEngine); 0 on a
   // healthy shard set and always 0 for single-index engines.

@@ -184,6 +184,9 @@ struct JoinEdge {
   std::vector<uint32_t> row_ids;
   std::vector<uint8_t> row_chi;
   size_t max_row = 0;
+  // The edge's place among its position's back edges sorted by anchor:
+  // the byte of a candidate's χ record that holds this edge's χ.
+  size_t anchor_rank = 0;
 
   // A sort-merge of both positions' node postings finds, for every node
   // entry of the later position, the earlier position's candidates
@@ -272,14 +275,6 @@ bool RanksBefore(double score_a, const std::vector<uint32_t>& key_a,
   return key_a < key_b;
 }
 
-// One back edge's row for the placed anchor: ids[0, size) and their χ.
-struct RowRef {
-  const uint32_t* ids;
-  const uint8_t* chi;
-  size_t size;
-  size_t edge;  // Index into the position's edges_completing_at.
-};
-
 constexpr size_t kCacheLine = 64;
 
 // Reserves `n` elements plus a cache line of spare capacity behind them,
@@ -289,98 +284,117 @@ void ReservePadded(std::vector<T>* v, size_t n) {
   v->reserve(n + kCacheLine / sizeof(T) + 1);
 }
 
-// A position's candidates that share a node with every placed anchor,
-// ascending (i.e. λ-ordered), with each one's χ per back edge:
-// chi[k * stride + e] for candidate k and back edge e.
-struct Narrowed {
+// `n` uninitialised elements plus a cache line of spare capacity behind
+// them (see ReservePadded); null when `n` is 0.
+template <typename T>
+std::unique_ptr<T[]> PaddedBlock(size_t n) {
+  if (n == 0) return nullptr;
+  return std::make_unique_for_overwrite<T[]>(n + kCacheLine / sizeof(T) + 1);
+}
+
+// A join position's candidates that share a node with the placed path at
+// every anchor, ascending (i.e. λ-ordered), each with a record of
+// `stride` χ bytes: candidate k's χ for a back edge is
+// chi[k * stride + edge.anchor_rank].
+struct Candidates {
   const uint32_t* ids;
   const uint8_t* chi;
   size_t stride;
   size_t count;
 };
 
-// Intersects the anchors' rows, one per back edge of a position. One
-// edge's row is the answer as it stands; otherwise the two shortest
-// rows are merged into `both` and `both_chi`, which must have room for
-// the smallest of the edges' longest rows. That usually leaves a
-// handful of candidates, which each further row is only searched for.
-Narrowed Narrow(const std::vector<JoinEdge>& back_edges,
-                const std::vector<uint32_t>& choice,
-                std::vector<RowRef>* scratch, std::vector<uint32_t>* both,
-                uint8_t* both_chi) {
-  std::vector<RowRef>& rows = *scratch;
-  rows.clear();
-  for (size_t e = 0; e < back_edges.size(); ++e) {
-    const JoinEdge& edge = back_edges[e];
-    const size_t i = choice[edge.earlier];
-    const size_t from = edge.row_off[i];
-    rows.push_back({edge.row_ids.data() + from, edge.row_chi.data() + from,
-                    edge.row_off[i + 1] - from, e});
-  }
-  if (rows.size() == 1) return {rows[0].ids, rows[0].chi, 1, rows[0].size};
-  auto shorter = [](const RowRef& x, const RowRef& y) {
-    return x.size < y.size;
+// Writes to `ids` and `chi` the candidates of `in` that are also in
+// `row` (one anchor's row, records of 1 byte), each with its record and
+// the row's χ appended (records of in.stride + 1 bytes); returns how
+// many. A short list is searched for in a much longer row, otherwise
+// the two are merged.
+size_t IntersectRow(const Candidates& in, const Candidates& row,
+                    uint32_t* ids, uint8_t* chi) {
+  const size_t width = in.stride;
+  size_t n = 0;
+  auto emit = [&](size_t x, size_t y) {
+    ids[n] = in.ids[x];
+    uint8_t* record = chi + n * (width + 1);
+    std::copy_n(in.chi + x * width, width, record);
+    record[width] = row.chi[y];
+    ++n;
   };
-  if (shorter(rows[1], rows[0])) std::swap(rows[0], rows[1]);
-  for (size_t e = 2; e < rows.size(); ++e) {
-    if (shorter(rows[e], rows[1])) {
-      std::swap(rows[e], rows[1]);
-      if (shorter(rows[1], rows[0])) std::swap(rows[0], rows[1]);
+  if (in.count * std::bit_width(row.count) < in.count + row.count) {
+    const uint32_t* at = row.ids;
+    const uint32_t* const end = row.ids + row.count;
+    for (size_t x = 0; x < in.count; ++x) {
+      at = std::lower_bound(at, end, in.ids[x]);
+      if (at == end) break;
+      if (*at == in.ids[x]) emit(x, at - row.ids);
     }
+    return n;
   }
-  const size_t stride = rows.size();
-  both->clear();
-  for (size_t x = 0, y = 0; x < rows[0].size && y < rows[1].size;) {
-    if (rows[0].ids[x] < rows[1].ids[y]) {
+  for (size_t x = 0, y = 0; x < in.count && y < row.count;) {
+    if (in.ids[x] < row.ids[y]) {
       ++x;
-    } else if (rows[1].ids[y] < rows[0].ids[x]) {
+    } else if (row.ids[y] < in.ids[x]) {
       ++y;
     } else {
-      uint8_t* record = both_chi + both->size() * stride;
-      record[rows[0].edge] = rows[0].chi[x];
-      record[rows[1].edge] = rows[1].chi[y];
-      both->push_back(rows[0].ids[x]);
-      ++x;
-      ++y;
+      emit(x++, y++);
     }
   }
-  for (size_t e = 2; e < rows.size() && !both->empty(); ++e) {
-    const RowRef& row = rows[e];
-    const uint32_t* at = row.ids;
-    const uint32_t* const end = row.ids + row.size;
-    size_t w = 0;
-    for (size_t r = 0; r < both->size(); ++r) {
-      const uint32_t id = (*both)[r];
-      at = std::lower_bound(at, end, id);
-      if (at == end) break;
-      if (*at != id) continue;
-      if (w != r) {
-        (*both)[w] = id;
-        std::copy_n(both_chi + r * stride, stride, both_chi + w * stride);
-      }
-      both_chi[w * stride + row.edge] = row.chi[at - row.ids];
-      ++w;
-    }
-    both->resize(w);
-  }
-  return {both->data(), both_chi, stride, both->size()};
+  return n;
 }
+
+// Slot j of a join position whose back edges e_0 … e_{E-1} (E ≥ 2) are
+// sorted stably by anchor, the earlier position each edge comes from:
+// the position's candidates that share a node with the placed paths at
+// the anchors of e_0 … e_j, as Candidates with records of j + 1 bytes in
+// that edge order. Slot 0 is e_0's row itself and owns no storage; slot
+// j ≥ 1 is slot j - 1 intersected with e_j's row, kept in an arena's
+// blocks at ids_at and chi_at, with room for the shortest of e_0 … e_j's
+// longest rows.
+struct PrefixSlot {
+  size_t edge;    // e_j's index in its position's edges_completing_at.
+  size_t anchor;  // e_j's earlier position.
+  size_t ids_at;
+  size_t chi_at;
+};
+
+// A prefix slot's state in one arena: the tick of its anchor's placement
+// it was last built under (0: never built), and its candidate count.
+struct SlotState {
+  uint64_t built_under = 0;
+  size_t count = 0;
+};
 
 // The mutable state of one subtree search. There is one per wave slot,
 // allocated once per search and reused by every subtree that runs in
 // the slot, across waves and retry rounds. Slots run on different
 // threads, so the struct and its buffers are padded to whole cache
 // lines: no two slots write the same line.
+//
+// The prefix slots are a memo of intersections. Every placement takes a
+// fresh tick from `tick`, and placed[pos] is the tick of the candidate
+// now at pos. A slot is valid while its anchor still carries the tick
+// the slot was built under, because the search is depth-first: a slot's
+// earlier anchors sit at or before its own anchor, so after any of them
+// is placed again, the search places a new candidate at every later
+// position, the slot's anchor included, before it can reach the slot's
+// position again. So an anchor that kept its tick means that none of
+// the slot's anchors moved, and the slot equals a fresh intersection.
+// Each subtree and each retry round starts with a fresh root placement
+// and places every position on its way down, and ticks never repeat, so
+// a slot left by an earlier subtree is never read as valid.
 struct alignas(kCacheLine) SubtreeArena {
   std::vector<uint32_t> choice;
   std::vector<double> psi_prefix;  // ψ of the edges inside the prefix.
   std::vector<double> lambda_prefix;
-  // Per depth, when a position completes more than one edge: the
-  // candidates left after intersecting the back edges' rows, and for
-  // each of them one χ per back edge, in edges_completing_at order.
-  std::vector<std::vector<uint32_t>> narrowed;
-  std::vector<std::vector<uint8_t>> narrowed_chi;
-  std::vector<RowRef> rows;  // Narrowing scratch: one row per back edge.
+  uint64_t tick = 0;
+  std::vector<uint64_t> placed;
+  // Per SearchTables::slots entry; the slots' ids and χ records.
+  std::vector<SlotState> slot_state;
+  std::unique_ptr<uint32_t[]> slot_ids;
+  std::unique_ptr<uint8_t[]> slot_chi;
+  // The running subtree's prefix slots rebuilt, and slot lookups served
+  // by a valid slot (ForestSearchStats).
+  uint64_t intersections = 0;
+  uint64_t intersections_reused = 0;
   // Per dedup tuple key, the rank of the subtree's kept answer.
   std::unordered_map<std::string, Kept> best_by_tuple;
   // Leaf scratch: the tuple key and the φ merge order.
@@ -428,6 +442,14 @@ struct SearchTables {
   std::vector<double> psi_lb_at;
   std::vector<double> psi_lb_suffix;
   std::vector<double> min_lambda_suffix;
+  // The prefix slots (PrefixSlot), only under require_connected: each
+  // position with two or more back edges owns slots[slot_begin[pos],
+  // slot_begin[pos + 1]), one per back edge in anchor order. An arena
+  // holds slot_ids ids and slot_chi χ bytes for all of them.
+  std::vector<size_t> slot_begin;
+  std::vector<PrefixSlot> slots;
+  size_t slot_ids = 0;
+  size_t slot_chi = 0;
 
   size_t HeapBytes() const {
     size_t total = sizeof(SearchTables) + BufferBytes(cluster_query_path) +
@@ -437,7 +459,8 @@ struct SearchTables {
                    BufferBytes(lambdas) + BufferBytes(nodes) +
                    BufferBytes(edges_completing_at) + BufferBytes(psi_lb_at) +
                    BufferBytes(psi_lb_suffix) +
-                   BufferBytes(min_lambda_suffix);
+                   BufferBytes(min_lambda_suffix) + BufferBytes(slot_begin) +
+                   BufferBytes(slots);
     for (size_t pos = 0; pos < order.size(); ++pos) {
       total += BufferBytes(ids[pos]) + BufferBytes(lambdas[pos]) +
                BufferBytes(nodes[pos].off) + BufferBytes(nodes[pos].ids) +
@@ -595,6 +618,34 @@ Result<std::shared_ptr<const SearchTables>> BuildSearchTables(
       },
       busy_nanos));
 
+  // The prefix slots' anchor order and layout: a pure function of the
+  // rows, laid out once here so that every arena of every search over
+  // these tables shares it.
+  t.slot_begin.assign(m + 1, 0);
+  for (size_t pos = 0; pos < m; ++pos) {
+    t.slot_begin[pos] = t.slots.size();
+    std::vector<JoinEdge>& back_edges = t.edges_completing_at[pos];
+    if (!require_connected || back_edges.size() < 2) continue;
+    std::vector<size_t> by_anchor(back_edges.size());
+    for (size_t e = 0; e < by_anchor.size(); ++e) by_anchor[e] = e;
+    std::stable_sort(by_anchor.begin(), by_anchor.end(),
+                     [&](size_t x, size_t y) {
+                       return back_edges[x].earlier < back_edges[y].earlier;
+                     });
+    size_t capacity = std::numeric_limits<size_t>::max();
+    for (size_t j = 0; j < by_anchor.size(); ++j) {
+      JoinEdge& edge = back_edges[by_anchor[j]];
+      edge.anchor_rank = j;
+      capacity = std::min(capacity, edge.max_row);
+      t.slots.push_back({by_anchor[j], edge.earlier, t.slot_ids, t.slot_chi});
+      if (j != 0) {  // Slot 0 is e_0's row.
+        t.slot_ids += capacity;
+        t.slot_chi += capacity * (j + 1);
+      }
+    }
+  }
+  t.slot_begin[m] = t.slots.size();
+
   t.min_lambda_suffix.assign(m + 1, 0.0);
   for (size_t pos = m; pos-- > 0;) {
     t.min_lambda_suffix[pos] =
@@ -638,6 +689,48 @@ bool SearchTablesMatch(const SearchTables& tables,
 size_t SearchTablesBytes(const SearchTables& tables) {
   return tables.HeapBytes();
 }
+
+namespace {
+
+// The candidates at join position `pos` that share a node with the
+// placed path at every anchor, under require_connected (§5: the chosen
+// paths must "form a solution"). One back edge's row is the answer as it
+// stands. Otherwise the walk goes through the position's prefix slots:
+// it reuses each slot whose anchor has not been placed again since the
+// slot was built, rebuilds each one whose anchor has (every slot after
+// it then has a moved anchor too, see SubtreeArena), and stops at the
+// first empty one.
+Candidates Connected(const SearchTables& t, size_t pos, SubtreeArena& ar) {
+  const std::vector<JoinEdge>& back_edges = t.edges_completing_at[pos];
+  auto row = [&](const JoinEdge& edge) -> Candidates {
+    const size_t i = ar.choice[edge.earlier];
+    const size_t from = edge.row_off[i];
+    return {edge.row_ids.data() + from, edge.row_chi.data() + from, 1,
+            edge.row_off[i + 1] - from};
+  };
+  const size_t first = t.slot_begin[pos];
+  const size_t last = t.slot_begin[pos + 1];
+  if (first == last) return row(back_edges[0]);
+  Candidates c = row(back_edges[t.slots[first].edge]);
+  for (size_t s = first + 1; s < last && c.count != 0; ++s) {
+    const PrefixSlot& slot = t.slots[s];
+    SlotState& state = ar.slot_state[s];
+    uint32_t* ids = ar.slot_ids.get() + slot.ids_at;
+    uint8_t* chi = ar.slot_chi.get() + slot.chi_at;
+    const uint64_t anchor_tick = ar.placed[slot.anchor];
+    if (state.built_under == anchor_tick) {
+      ++ar.intersections_reused;
+    } else {
+      state.count = IntersectRow(c, row(back_edges[slot.edge]), ids, chi);
+      state.built_under = anchor_tick;
+      ++ar.intersections;
+    }
+    c = {ids, chi, c.stride + 1, state.count};
+  }
+  return c;
+}
+
+}  // namespace
 
 Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
                                          const std::vector<Cluster>& clusters,
@@ -767,8 +860,8 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
     }
   };
 
-  // One arena per wave slot. A position's narrowing buffers never hold
-  // more candidates than the smallest of its back edges' longest rows.
+  // One arena per wave slot, with one block of ids and one of χ records
+  // for all of the tables' prefix slots.
   const size_t num_subtrees = lambdas[0].size();
   std::vector<SubtreeArena> arenas(
       m == 1 ? 1 : std::min(kWaveSize, num_subtrees));
@@ -779,23 +872,12 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
     ar.psi_prefix.assign(m + 1, 0.0);
     ReservePadded(&ar.lambda_prefix, m + 1);
     ar.lambda_prefix.assign(m + 1, 0.0);
-    ReservePadded(&ar.narrowed, m);
-    ar.narrowed.resize(m);
-    ReservePadded(&ar.narrowed_chi, m);
-    ar.narrowed_chi.resize(m);
-    for (size_t pos = 0; pos < m; ++pos) {
-      const std::vector<JoinEdge>& back_edges = edges_completing_at[pos];
-      if (options.require_connected && back_edges.size() > 1) {
-        size_t cap = back_edges[0].max_row;
-        for (const JoinEdge& edge : back_edges) {
-          cap = std::min(cap, edge.max_row);
-        }
-        ReservePadded(&ar.narrowed[pos], cap);
-        ReservePadded(&ar.narrowed_chi[pos], cap * back_edges.size());
-        ar.narrowed_chi[pos].resize(cap * back_edges.size());
-      }
-    }
-    ReservePadded(&ar.rows, m);
+    ReservePadded(&ar.placed, m);
+    ar.placed.assign(m, 0);
+    ReservePadded(&ar.slot_state, tables.slots.size());
+    ar.slot_state.resize(tables.slots.size());
+    ar.slot_ids = PaddedBlock<uint32_t>(tables.slot_ids);
+    ar.slot_chi = PaddedBlock<uint8_t>(tables.slot_chi);
     ReservePadded(&ar.by_lambda, m);
   }
 
@@ -899,6 +981,8 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
                             std::vector<Answer>* out, size_t* pruned_out,
                             bool* truncated_out) {
     ar.best_by_tuple.clear();
+    ar.intersections = 0;
+    ar.intersections_reused = 0;
     size_t used = 0;
     size_t pruned = 0;
     bool out_of_budget = false;
@@ -921,15 +1005,14 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
       const std::vector<JoinEdge>& back_edges = edges_completing_at[pos];
       // When this position must connect to already-placed paths, only
       // candidates sharing a node with EVERY one of them can be valid.
-      Narrowed narrowed{nullptr, nullptr, 0, lambdas[pos].size()};
+      Candidates candidates{nullptr, nullptr, 0, lambdas[pos].size()};
       if (options.require_connected && !back_edges.empty()) {
-        narrowed = Narrow(back_edges, ar.choice, &ar.rows, &ar.narrowed[pos],
-                          ar.narrowed_chi[pos].data());
+        candidates = Connected(tables, pos, ar);
       }
-      const size_t candidate_count = narrowed.count;
+      const size_t candidate_count = candidates.count;
       for (size_t pick = 0; pick < candidate_count; ++pick) {
-        const uint32_t idx = narrowed.ids != nullptr
-                                 ? narrowed.ids[pick]
+        const uint32_t idx = candidates.ids != nullptr
+                                 ? candidates.ids[pick]
                                  : static_cast<uint32_t>(pick);
         if (++used > share) {
           out_of_budget = true;
@@ -958,9 +1041,10 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
         bool valid = true;
         for (size_t e = 0; e < back_edges.size(); ++e) {
           const JoinEdge& edge = back_edges[e];
-          size_t chi_p = narrowed.chi != nullptr
-                             ? narrowed.chi[pick * narrowed.stride + e]
-                             : kChiSaturated;
+          size_t chi_p =
+              candidates.chi != nullptr
+                  ? candidates.chi[pick * candidates.stride + edge.anchor_rank]
+                  : kChiSaturated;
           if (chi_p == kChiSaturated) {
             chi_p = SharedNodes(nodes[edge.earlier], ar.choice[edge.earlier],
                                 nodes[pos], idx);
@@ -979,6 +1063,7 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
         }
 
         ar.choice[pos] = idx;
+        ar.placed[pos] = ++ar.tick;
         ar.lambda_prefix[pos + 1] = lambda_sum;
         ar.psi_prefix[pos + 1] = ar.psi_prefix[pos] + psi_here;
         self(self, pos + 1);
@@ -990,6 +1075,7 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
     // recurse over the remaining positions.
     ++used;
     ar.choice[0] = static_cast<uint32_t>(root);
+    ar.placed[0] = ++ar.tick;
     ar.lambda_prefix[1] = lambdas[0][root];
     ar.psi_prefix[1] = 0.0;  // No edge completes at position 0.
     descend(descend, 1);
@@ -1115,7 +1201,11 @@ Result<std::vector<Answer>> SearchForest(const SearchTables& tables,
       // and the k cut identically to a sequential insertion stream.
       for (size_t w = 0; w < wave.size(); ++w) {
         total_used += wave_used[w];
-        if (fstats != nullptr) fstats->bound_pruned += wave_pruned[w];
+        if (fstats != nullptr) {
+          fstats->bound_pruned += wave_pruned[w];
+          fstats->intersections += arenas[w].intersections;
+          fstats->intersections_reused += arenas[w].intersections_reused;
+        }
         if (wave_truncated[w] != 0) {
           truncated_at[wave[w]] = wave_share;
           held[wave[w]] = std::move(wave_out[w]);

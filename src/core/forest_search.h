@@ -102,6 +102,13 @@ struct ForestSearchStats {
   // Whole root subtrees skipped by the wave scheduler's λ-only root
   // bound (subtree roots are λ-sorted, so one failure ends the search).
   uint64_t roots_pruned = 0;
+  // The connectivity check's prefix slots (DESIGN.md §8), at join
+  // positions with two or more back edges under require_connected:
+  // slots rebuilt, and slot lookups served by a slot none of whose
+  // anchors had moved since it was built. Both are a function of the
+  // work, so they are the same at every thread count.
+  uint64_t intersections = 0;
+  uint64_t intersections_reused = 0;
   // True when any part of the combination space went unexamined for
   // budget reasons: a subtree exhausted its per-subtree share, or the
   // wave loop stopped with subtrees left. While false, the returned

@@ -199,18 +199,24 @@ TEST(EngineObsTest, TraceAttachedToStatsWhenEnabled) {
     }
     return children;
   };
-  auto reused = [](const TraceSpan& span) {
+  auto attr = [](const TraceSpan& span, const std::string& name) {
     for (const auto& [key, value] : span.attrs) {
-      if (key == "reused") return value;
+      if (key == name) return value;
     }
     return std::string("(none)");
   };
+  auto reused = [&](const TraceSpan& span) { return attr(span, "reused"); };
   std::vector<TraceSpan> cold = search_children(*stats.trace);
   ASSERT_EQ(cold.size(), 2u);
   EXPECT_EQ(cold[0].name, "search.tables");
   EXPECT_EQ(cold[1].name, "search.waves");
   EXPECT_LE(cold[0].start_millis, cold[1].start_millis);
   EXPECT_EQ(reused(cold[0]), "false");
+  // The waves carry the prefix-slot counters QueryStats reports.
+  EXPECT_EQ(attr(cold[1], "intersections"),
+            std::to_string(stats.search_intersections));
+  EXPECT_EQ(attr(cold[1], "intersections_reused"),
+            std::to_string(stats.search_intersections_reused));
 
   QueryStats again;
   ASSERT_TRUE(env.engine->Execute(env.Query1(), 10, &again).ok());

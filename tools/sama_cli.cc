@@ -853,6 +853,12 @@ int RunOneQuery(const CliOptions& options, sama::DataGraph* graph,
         static_cast<unsigned long long>(stats.search_roots_pruned),
         100.0 * stats.SearchPruningRatio(),
         stats.search_truncated ? ", TRUNCATED by the anytime budget" : "");
+    if (stats.search_intersections + stats.search_intersections_reused > 0) {
+      std::printf(
+          "-- search intersections: %llu rebuilt, %llu reused\n",
+          static_cast<unsigned long long>(stats.search_intersections),
+          static_cast<unsigned long long>(stats.search_intersections_reused));
+    }
     auto print_cache = [](const char* name,
                           const sama::CacheCounters& counters) {
       if (counters.lookups() == 0) return;
